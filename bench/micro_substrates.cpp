@@ -479,7 +479,9 @@ std::vector<KernelResult> run_actor_benches() {
     rl::VecActor actor(std::make_unique<envs::VecEnv>("Hopper", k, 1), 1);
     rl::VecActorScratch scratch;
     const double work = static_cast<double>(k * horizon) * step_scale;
-    out.push_back({"actor_rollout", "K" + std::to_string(k), "msteps", work,
+    std::string shape = "K";
+    shape.append(std::to_string(k));
+    out.push_back({"actor_rollout", shape, "msteps", work,
                    measure_rate(work,
                                 [&] {
                                   benchmark::DoNotOptimize(actor.sample(

@@ -2,7 +2,9 @@
 //
 // No tape autograd: every layer caches exactly what its backward pass needs
 // during forward, and backward(dy) both returns dx and accumulates parameter
-// gradients. This keeps the training loop deterministic and allocation
+// gradients. backward_params(dy) accumulates the same parameter gradients
+// without computing dx, for the input layer of a net whose input gradient
+// nobody reads. This keeps the training loop deterministic and allocation
 // patterns obvious — important because learner functions serialize whole
 // gradient sets into the distributed cache every round.
 //
@@ -41,6 +43,11 @@ class Layer {
   /// until the next call on this layer.
   virtual const Tensor& backward(const Tensor& dy) = 0;
 
+  /// Like backward(), but only accumulates parameter gradients and skips
+  /// dL/d(input). The gradients are byte-identical to backward()'s. Layers
+  /// whose dx is cheap keep this default, which calls backward().
+  virtual void backward_params(const Tensor& dy) { backward(dy); }
+
   /// Learnable parameter tensors (empty for activations).
   virtual std::vector<Tensor*> parameters() { return {}; }
   /// Gradient accumulators, parallel to parameters().
@@ -56,6 +63,7 @@ class Linear final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&dw_, &db_}; }
   std::string name() const override { return "Linear"; }
@@ -78,6 +86,7 @@ class Conv2d final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&dw_, &db_}; }
   std::string name() const override { return "Conv2d"; }
@@ -129,6 +138,8 @@ class Sequential final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  /// backward() through every layer but the first, backward_params() on it.
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> parameters() override;
   std::vector<Tensor*> gradients() override;
   std::string name() const override { return "Sequential"; }

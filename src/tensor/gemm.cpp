@@ -6,20 +6,29 @@
 //     that keeps a block of C in accumulator registers for the entire k
 //     sweep — one store per output element instead of one load+store per
 //     (element, k) step, and every B-row load is shared by MR output rows.
-//   * k is deliberately NOT tiled. Each output element accumulates its k
-//     products in ascending order starting from 0.0f, exactly the order of
-//     the naive reference kernel, so blocked results are bit-identical to
-//     ops::reference — the learner stays deterministic across this rewrite.
+//   * Each output element accumulates its k products in ascending order
+//     starting from 0.0f, exactly the order of the naive reference kernel,
+//     so blocked results are bit-identical to ops::reference — the learner
+//     stays deterministic across this rewrite. The wide panels never tile
+//     k. The narrow path below cuts k into kKC chunks, and every chunk after
+//     the first reloads the partial sum it stored in C and keeps adding in
+//     k order: a float store and reload is exact, so the chain is unchanged.
 //   * Threading splits i into panels of kMC rows (ThreadPool::parallel_for).
 //     Panels write disjoint C rows and each element is still accumulated by
 //     exactly one task in the same order, so any thread count produces the
 //     same bits. Gated by kernel_parallel_min_flops() and off by default
 //     (kernel_threads() == 1).
-//   * matmul_tn packs the A panel into a transposed scratch buffer first
-//     (pure data movement), then reuses the nn micro-kernel; matmul_nt does
-//     the same with B, since a dot-product micro-kernel cannot vectorize
-//     its k chain without reassociating float adds.
+//   * Narrow outputs (n == 8, the first conv layer's channels, and n == 4,
+//     the arcade policy head) take their own micro-kernel written with
+//     vector extensions, because the templated wide micro-kernel at NR = 8
+//     vectorizes into gathers and spills. It reads A through a (row, k) stride pair, so matmul_tn runs
+//     it straight on A's storage with no transpose pack.
+//   * Otherwise matmul_tn packs the A panel into a transposed scratch
+//     buffer first (pure data movement), then reuses the nn micro-kernel;
+//     matmul_nt does the same with B, since a dot-product micro-kernel
+//     cannot vectorize its k chain without reassociating float adds.
 #include <algorithm>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "tensor/kernel_config.hpp"
@@ -144,6 +153,93 @@ void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
   }
 }
 
+// -- narrow-output path (n == 4 or n == 8) ------------------------------------
+// GCC's SLP pass turns micro_nn<4, 8> into gathers, shuffles and spills, so
+// this path spells its vectors out: MR rows × NV four-lane accumulators, one
+// broadcast of a per k step, lane-wise * and + only. Each lane is then the
+// same k-ascending chain as the scalar reference, element for element.
+// Loads and stores go through memcpy: no alignment is assumed.
+
+using V4 = float __attribute__((vector_size(16)));
+
+inline V4 load4(const float* p) {
+  V4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, V4 v) { std::memcpy(p, &v, sizeof v); }
+
+// k chunk of the narrow path: keeps a chunk of A and B in L2 while every
+// row tile of the panel walks it.
+constexpr std::size_t kKC = 256;
+
+// C rows [0, MR) × columns [0, 4·NV) (row stride 4·NV) over kc k steps. a
+// points at A(i, k0), whose row step is ars and k step is aks; b at B(k0, 0)
+// (row stride 4·NV). With `resume` the accumulators start from the partial
+// sums already in C instead of 0.0f.
+template <std::size_t MR, std::size_t NV>
+inline void micro_narrow(std::size_t kc, const float* a, std::size_t ars,
+                         std::size_t aks, const float* b, float* c,
+                         bool resume) {
+  constexpr std::size_t n = 4 * NV;
+  V4 acc[MR][NV];
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t v = 0; v < NV; ++v)
+      acc[r][v] = resume ? load4(c + r * n + 4 * v) : V4{};
+  for (std::size_t kk = 0; kk < kc; ++kk) {
+    V4 bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = load4(b + kk * n + 4 * v);
+    for (std::size_t r = 0; r < MR; ++r) {
+      const float s = a[r * ars + kk * aks];
+      const V4 av = {s, s, s, s};
+      for (std::size_t v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r)
+    for (std::size_t v = 0; v < NV; ++v) store4(c + r * n + 4 * v, acc[r][v]);
+}
+
+// One i-panel [i0, i1) of C = op(A)·B for n = 4·NV, op(A)(i, kk) read at
+// pa[i·ars + kk·aks]: nn passes (lda, 1), tn passes (1, m). All row tiles
+// walk one k chunk before any moves to the next.
+template <std::size_t NV>
+void gemm_narrow_panel(std::size_t i0, std::size_t i1, std::size_t k,
+                       const float* pa, std::size_t ars, std::size_t aks,
+                       const float* pb, float* pc) {
+  constexpr std::size_t n = 4 * NV;
+  for (std::size_t k0 = 0; k0 == 0 || k0 < k; k0 += kKC) {
+    const std::size_t kc = std::min(kKC, k - k0);
+    const bool resume = k0 > 0;
+    const float* pbk = pb + k0 * n;
+    std::size_t i = i0;
+    for (; i + kMR <= i1; i += kMR)
+      micro_narrow<kMR, NV>(kc, pa + i * ars + k0 * aks, ars, aks, pbk,
+                            pc + i * n, resume);
+    if (i == i1) continue;
+    const float* a = pa + i * ars + k0 * aks;
+    float* c = pc + i * n;
+    switch (i1 - i) {
+      case 3: micro_narrow<3, NV>(kc, a, ars, aks, pbk, c, resume); break;
+      case 2: micro_narrow<2, NV>(kc, a, ars, aks, pbk, c, resume); break;
+      case 1: micro_narrow<1, NV>(kc, a, ars, aks, pbk, c, resume); break;
+      default: break;
+    }
+  }
+}
+
+// Output widths that take the narrow path.
+bool narrow(std::size_t n) { return n == 4 || n == 8; }
+
+void gemm_narrow(std::size_t n, std::size_t i0, std::size_t i1, std::size_t k,
+                 const float* pa, std::size_t ars, std::size_t aks,
+                 const float* pb, float* pc) {
+  if (n == 8)
+    gemm_narrow_panel<2>(i0, i1, k, pa, ars, aks, pb, pc);
+  else
+    gemm_narrow_panel<1>(i0, i1, k, pa, ars, aks, pb, pc);
+}
+
 // Run `panel(i0, i1)` over [0, m), in kMC panels across the kernel pool
 // when the product is big enough and threading is enabled, serially
 // otherwise. Either way each C row is written by exactly one invocation.
@@ -187,6 +283,12 @@ void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
+  if (narrow(n)) {
+    dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
+      gemm_narrow(n, i0, i1, k, pa, k, 1, pb, pc);
+    });
+    return;
+  }
   dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
     gemm_nn_panel(i0, i1, n, k, pa, k, pb, pc);
   });
@@ -213,6 +315,13 @@ void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
+  if (narrow(n)) {
+    // Aᵀ(i, kk) is A(kk, i): read A in place, row step 1, k step m.
+    dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
+      gemm_narrow(n, i0, i1, k, pa, 1, m, pb, pc);
+    });
+    return;
+  }
   dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
     // Pack Aᵀ[i0..i1) into a contiguous (i1-i0, k) panel — pure data
     // movement, so the k-accumulation order below is untouched — then run

@@ -14,11 +14,13 @@
 // place and fully overwrites it — after warm-up the `_into` form never
 // allocates, which is what keeps the learner step allocation-free.
 //
-// Determinism contract: the blocked GEMMs tile only the i/j (output)
+// Determinism contract: the blocked GEMMs tile the i/j (output)
 // dimensions; each output element accumulates its k terms in ascending
 // order starting from 0, exactly like the naive reference kernels below.
-// Results are therefore bit-identical to ops::reference, with threading on
-// or off, at any thread count.
+// Where k is cut into chunks, each chunk resumes from the stored partial
+// sum, which leaves the chain unchanged. Results are therefore
+// bit-identical to ops::reference, with threading on or off, at any thread
+// count.
 //
 // The seed kernels are retained verbatim under ops::reference (minus a
 // zero-skip branch that broke IEEE NaN/Inf propagation): they are the

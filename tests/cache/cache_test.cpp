@@ -235,9 +235,10 @@ TEST(Cache, HammerMixedOpsAcrossStripes) {
     threads.emplace_back([&cache, &go, t] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < kOps; ++i) {
-        const std::string hot = "hot/" + std::to_string((i / 5) % 5);
-        const std::string mine =
-            "t" + std::to_string(t) + "/" + std::to_string(i);
+        std::string hot = "hot/";
+        hot.append(std::to_string((i / 5) % 5));
+        std::string mine = "t";
+        mine.append(std::to_string(t)).append("/").append(std::to_string(i));
         switch (i % 5) {
           case 0:
             cache.put(hot, Bytes(64, static_cast<std::uint8_t>(t)));

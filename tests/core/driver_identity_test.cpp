@@ -175,7 +175,10 @@ std::string mask_run_id(std::string line) {
   while (end < line.size() && std::isdigit(static_cast<unsigned char>(
                                   line[end])))
     ++end;
-  return line.replace(pos + key.size(), end - pos - key.size(), "N");
+  std::string masked;
+  masked.reserve(line.size());
+  masked.append(line, 0, pos + key.size()).append("N").append(line, end);
+  return masked;
 }
 
 void expect_identical_ledgers(const std::vector<std::string>& a,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "nn/distributions.hpp"
 #include "util/rng.hpp"
 
 namespace stellaris::nn {
@@ -130,6 +133,90 @@ TEST(ActorCritic, PolicyAndValueNetsAreIndependent) {
   Tensor v_after = m.value_forward(obs);
   for (std::size_t i = 0; i < 2; ++i)
     EXPECT_FLOAT_EQ(v_before[i], v_after[i]);
+}
+
+// NetworkSpec::atari()'s torso over 3×20×20 frames, layer for layer as
+// ActorCritic builds it.
+Sequential atari_torso(std::size_t out_dim, Rng& rng) {
+  Sequential seq;
+  seq.add(std::make_unique<Conv2d>(ops::Conv2dSpec{3, 8, 20, 20, 5, 2, 0}, rng));
+  seq.add(std::make_unique<Relu>());
+  seq.add(std::make_unique<Conv2d>(ops::Conv2dSpec{8, 16, 8, 8, 3, 2, 0}, rng));
+  seq.add(std::make_unique<Relu>());
+  seq.add(std::make_unique<Linear>(16 * 3 * 3, 128, rng));
+  seq.add(std::make_unique<Relu>());
+  seq.add(std::make_unique<Linear>(128, out_dim, rng));
+  return seq;
+}
+
+// One PPO-shaped gradient step on an atari model (policy gradient through
+// categorical_log_prob_backward, value gradient) must give byte-identical
+// flat_grads() to the full backward() through the same torso, weights and
+// batch: policy_backward/value_backward skip only the observation gradient.
+TEST(ActorCritic, AtariStepGradientsMatchFullBackward) {
+  auto m = make_atari_model(21);
+  Rng init(0);
+  Sequential policy = atari_torso(4, init);
+  Sequential value = atari_torso(1, init);
+  std::vector<Tensor*> ref_params = policy.parameters();
+  for (Tensor* p : value.parameters()) ref_params.push_back(p);
+  const std::vector<Tensor*> params = m.parameters();
+  ASSERT_EQ(params.size(), ref_params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    ASSERT_EQ(params[i]->shape(), ref_params[i]->shape()) << "param " << i;
+    *ref_params[i] = *params[i];
+  }
+
+  const std::size_t n = 12;
+  Rng rng(22);
+  const Tensor obs = Tensor::rand_uniform({n, 3 * 20 * 20}, rng, 0.0f, 1.0f);
+  std::vector<std::size_t> actions(n);
+  for (std::size_t t = 0; t < n; ++t) actions[t] = t % 4;
+  const Tensor coeff = Tensor::randn({n}, rng);
+  const Tensor dvalues = Tensor::randn({n}, rng);
+
+  m.zero_grad();
+  const Tensor dlogits = nn::categorical_log_prob_backward(
+      m.policy_forward(obs), actions, coeff);
+  m.policy_backward(dlogits);
+  (void)m.value_forward(obs);
+  m.value_backward(dvalues);
+
+  (void)policy.forward(obs);
+  (void)policy.backward(dlogits);
+  (void)value.forward(obs);
+  Tensor dvalues_2d = dvalues;
+  dvalues_2d.reshape({n, 1});
+  (void)value.backward(dvalues_2d);
+
+  std::vector<float> want;
+  for (Tensor* g : policy.gradients())
+    want.insert(want.end(), g->vec().begin(), g->vec().end());
+  for (Tensor* g : value.gradients())
+    want.insert(want.end(), g->vec().begin(), g->vec().end());
+  const std::vector<float> got = m.flat_grads();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
+TEST(ActorCritic, AtariStepDoesNotAllocateAfterWarmUp) {
+  auto m = make_atari_model(23);
+  Rng rng(24);
+  const Tensor obs = Tensor::rand_uniform({6, 3 * 20 * 20}, rng, 0.0f, 1.0f);
+  const Tensor dout = Tensor::randn({6, 4}, rng);
+  const Tensor dvalues = Tensor::randn({6}, rng);
+  auto step = [&] {
+    (void)m.policy_forward(obs);
+    m.policy_backward(dout);
+    (void)m.value_forward(obs);
+    m.value_backward(dvalues);
+    m.zero_grad();
+  };
+  step();
+  const std::uint64_t allocs = tensor_buffer_allocs();
+  for (int i = 0; i < 3; ++i) step();
+  EXPECT_EQ(tensor_buffer_allocs(), allocs);
 }
 
 TEST(ActorCritic, RejectsBadConstruction) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "util/rng.hpp"
 
@@ -210,6 +211,93 @@ TEST(Conv2d, SteadyStateForwardBackwardDoesNotAllocate) {
     zero_gradients(conv);
   }
   EXPECT_EQ(tensor_buffer_allocs(), allocs);
+}
+
+// backward_params() must leave every parameter gradient byte-identical to
+// backward(): it drops only the input gradient. Two copies of a layer are
+// built from the same seed and fed the same batches; two steps check that
+// the accumulation into dW/db matches as well.
+void expect_same_gradients(Layer& full, Layer& params_only) {
+  const auto a = full.gradients();
+  const auto b = params_only.gradients();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i]->shape(), b[i]->shape()) << "gradient " << i;
+    EXPECT_EQ(std::memcmp(a[i]->data().data(), b[i]->data().data(),
+                          a[i]->numel() * sizeof(float)),
+              0)
+        << "gradient " << i;
+  }
+}
+
+template <typename Make>
+void check_backward_params(const Make& make, std::size_t batch,
+                           std::size_t in) {
+  auto full = make();
+  auto params_only = make();
+  Rng rng(99);
+  for (int step = 0; step < 2; ++step) {
+    const Tensor x = Tensor::randn({batch, in}, rng);
+    const Tensor& y = full->forward(x);
+    const Tensor dy = Tensor::randn(y.shape(), rng);
+    (void)full->backward(dy);
+    (void)params_only->forward(x);
+    params_only->backward_params(dy);
+  }
+  expect_same_gradients(*full, *params_only);
+}
+
+ops::Conv2dSpec conv1_spec() {
+  ops::Conv2dSpec spec;
+  spec.in_channels = 3;
+  spec.out_channels = 8;
+  spec.in_h = 20;
+  spec.in_w = 20;
+  spec.kernel = 5;
+  spec.stride = 2;
+  return spec;
+}
+
+TEST(Linear, BackwardParamsMatchesBackward) {
+  check_backward_params(
+      [] {
+        Rng rng(40);
+        return std::make_unique<Linear>(24, 8, rng);
+      },
+      6, 24);
+}
+
+TEST(Conv2d, BackwardParamsMatchesBackward) {
+  check_backward_params(
+      [] {
+        Rng rng(41);
+        return std::make_unique<Conv2d>(conv1_spec(), rng);
+      },
+      5, 3 * 20 * 20);
+}
+
+TEST(Sequential, BackwardParamsMatchesBackward) {
+  check_backward_params(
+      [] {
+        Rng rng(42);
+        auto seq = std::make_unique<Sequential>();
+        auto conv = std::make_unique<Conv2d>(conv1_spec(), rng);
+        const std::size_t flat = conv->out_features();
+        seq->add(std::move(conv));
+        seq->add(std::make_unique<Relu>());
+        seq->add(std::make_unique<Linear>(flat, 16, rng));
+        seq->add(std::make_unique<Tanh>());
+        seq->add(std::make_unique<Linear>(16, 4, rng));
+        return seq;
+      },
+      5, 3 * 20 * 20);
+}
+
+TEST(Sequential, BackwardParamsOnEmptyPipelineIsANoOp) {
+  Sequential seq;
+  (void)seq.forward(Tensor::ones({2, 3}));
+  seq.backward_params(Tensor::ones({2, 3}));
+  EXPECT_TRUE(seq.gradients().empty());
 }
 
 TEST(Sequential, GradientsAccumulateAcrossBackwardCalls) {

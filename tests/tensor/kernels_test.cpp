@@ -1,8 +1,9 @@
 // Bit-exactness and semantics tests for the blocked kernel library.
 //
 // The blocked GEMMs promise results bit-identical to the retained seed
-// kernels (ops::reference) at any thread count: they tile only i/j and
-// accumulate each output element's k terms in ascending order from 0.
+// kernels (ops::reference) at any thread count: they tile i/j and
+// accumulate each output element's k terms in ascending order from 0 (a
+// k chunk resumes from the partial sum the previous chunk stored).
 // These tests pin that contract across tile-interior, tile-edge, prime,
 // and degenerate shapes, plus the IEEE semantics (NaN propagation) that
 // the seed's zero-skip branch used to violate.
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tensor/kernel_config.hpp"
 #include "tensor/ops.hpp"
@@ -68,6 +70,75 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmDims{0, 4, 5},            // zero rows
                       GemmDims{4, 0, 5},            // zero inner dim
                       GemmDims{4, 5, 0}));          // zero columns
+
+// The narrow path (n == 4 or n == 8): its own micro-kernel, a tn that reads
+// A in place, and k cut into 256-step chunks that each resume from the
+// partial sums stored in C. The shapes cross the chunk boundary (k = 255,
+// 256, 257, 1000), hit every row remainder mod 4, and include the conv1
+// shapes of the atari torso. Each is memcmp'd against the reference at 1
+// and 4 kernel threads, the parallel path forced on.
+class NarrowVsReference : public ::testing::TestWithParam<GemmDims> {};
+
+TEST_P(NarrowVsReference, BitIdenticalAtOneAndFourThreads) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(m * 1000003 + k * 1009 + n);
+  const Tensor a_nn = Tensor::randn({m, k}, rng);
+  const Tensor a_tn = Tensor::randn({k, m}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  const Tensor want_nn = ops::reference::matmul(a_nn, b);
+  const Tensor want_tn = ops::reference::matmul_tn(a_tn, b);
+
+  const std::size_t saved_threads = ops::kernel_threads();
+  const std::uint64_t saved_min = ops::kernel_parallel_min_flops();
+  ops::set_kernel_parallel_min_flops(0);
+  for (const std::size_t threads : {1u, 4u}) {
+    ops::set_kernel_threads(threads);
+    expect_bit_identical(ops::matmul(a_nn, b), want_nn, "narrow matmul");
+    expect_bit_identical(ops::matmul_tn(a_tn, b), want_tn, "narrow matmul_tn");
+  }
+  ops::set_kernel_parallel_min_flops(saved_min);
+  ops::set_kernel_threads(saved_threads);
+}
+
+std::vector<GemmDims> narrow_shapes() {
+  std::vector<GemmDims> out;
+  for (const std::size_t n : {4u, 8u})
+    for (const std::size_t m : {1u, 2u, 3u, 128u, 129u, 130u, 131u})
+      for (const std::size_t k : {255u, 256u, 257u, 1000u})
+        out.push_back({m, k, n});
+  out.push_back({24576, 75, 8});  // conv1 forward: (N·oh·ow, patch) x W
+  out.push_back({75, 24576, 8});  // conv1 dW: colsᵀ x dy, k = N·oh·ow
+  out.push_back({5, 0, 8});       // empty sum: zeros
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, NarrowVsReference,
+                         ::testing::ValuesIn(narrow_shapes()));
+
+// A NaN or Inf in a later k chunk of the narrow matmul_tn must survive the
+// store and reload of the partial sums: 0·NaN is NaN, and Inf plus the
+// finite first chunk stays Inf.
+TEST(GemmIeeeSemantics, NarrowTnPropagatesFromLaterChunk) {
+  const std::size_t k = 600, m = 5, n = 8;
+  Rng rng(31);
+  Tensor a = Tensor::randn({k, m}, rng);
+  Tensor b = Tensor::randn({k, n}, rng);
+  a.at(300, 1) = std::numeric_limits<float>::quiet_NaN();  // second chunk
+  for (std::size_t j = 0; j < n; ++j) b.at(300, j) = 0.0f;
+  a.at(520, 3) = std::numeric_limits<float>::infinity();   // third chunk
+  for (std::size_t j = 0; j < n; ++j) b.at(520, j) = 1.0f;
+
+  Tensor c = ops::matmul_tn(a, b);
+  Tensor want = ops::reference::matmul_tn(a, b);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_TRUE(std::isnan(c.at(1, j))) << "NaN row, column " << j;
+    EXPECT_EQ(c.at(3, j), std::numeric_limits<float>::infinity())
+        << "Inf row, column " << j;
+  }
+  for (const std::size_t i : {0u, 2u, 4u})
+    EXPECT_EQ(std::memcmp(&c.at(i, 0), &want.at(i, 0), n * sizeof(float)), 0)
+        << "clean row " << i;
+}
 
 TEST(BlockedGemm, ZeroInnerDimYieldsZeros) {
   // k = 0 means every output element is an empty sum: exactly 0.0f.
