@@ -4,16 +4,13 @@
 
 namespace stellaris::envs {
 
-VecEnv::VecEnv(const std::string& name, std::size_t n, std::uint64_t seed,
-               std::size_t threads)
+VecEnv::VecEnv(const std::string& name, std::size_t n, std::uint64_t seed)
     : rng_(seed) {
   STELLARIS_CHECK_MSG(n > 0, "VecEnv needs at least one environment");
   envs_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) envs_.push_back(make_env(name));
   spec_ = envs_.front()->spec();
-  env_seeds_.resize(n);
   running_returns_.assign(n, 0.0);
-  if (threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 Tensor VecEnv::reset_all() { return reset_all(rng_); }
@@ -27,8 +24,7 @@ Tensor VecEnv::reset_all(Rng& rng) {
 void VecEnv::reset_all_into(Rng& rng, Tensor& obs) {
   obs.ensure_shape({envs_.size(), spec_.obs.flat_dim});
   for (std::size_t i = 0; i < envs_.size(); ++i) {
-    env_seeds_[i] = rng.next();
-    envs_[i]->reset_into(env_seeds_[i], obs.row(i));
+    envs_[i]->reset_into(rng.next(), obs.row(i));
     running_returns_[i] = 0.0;
   }
 }
@@ -40,37 +36,20 @@ void VecEnv::step_impl(const StepFn& fn, Rng& rng, StepBatch& out) {
   out.rewards.resize(n);
   out.dones.assign(n, false);
   out.episode_returns.clear();
-  step_scratch_.resize(n);
-  reset_seed_scratch_.resize(n);
-
-  // Auto-reset seeds must come from one stream, so draw them up-front
-  // (deterministically, in index order) before any parallel work.
-  for (std::size_t i = 0; i < n; ++i) reset_seed_scratch_[i] = rng.next();
-
-  // Workers touch only disjoint state: their env, their obs row, and their
-  // StepOut scratch slot. All shared bookkeeping happens in the serial
-  // finalize loop below, which is why serial and threaded streams are
-  // identical for the same seeds.
-  auto step_one = [&](std::size_t i) {
-    const std::span<float> row = out.obs.row(i);
-    step_scratch_[i] = fn(i, row);
-    if (step_scratch_[i].done)
-      envs_[i]->reset_into(reset_seed_scratch_[i], row);
-  };
-  if (pool_) {
-    pool_->parallel_for(n, step_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) step_one(i);
-  }
 
   for (std::size_t i = 0; i < n; ++i) {
-    out.rewards[i] = step_scratch_[i].reward;
-    out.dones[i] = step_scratch_[i].done;
-    running_returns_[i] += step_scratch_[i].reward;
-    if (step_scratch_[i].done) {
+    // One auto-reset seed per env per step, drawn in index order whether or
+    // not the env finishes, so the stream advances by exactly n per step.
+    const std::uint64_t reset_seed = rng.next();
+    const std::span<float> row = out.obs.row(i);
+    const StepOut s = fn(i, row);
+    out.rewards[i] = s.reward;
+    out.dones[i] = s.done;
+    running_returns_[i] += s.reward;
+    if (s.done) {
+      envs_[i]->reset_into(reset_seed, row);
       out.episode_returns.push_back(running_returns_[i]);
       running_returns_[i] = 0.0;
-      env_seeds_[i] = reset_seed_scratch_[i];
     }
   }
   total_steps_ += n;
@@ -124,7 +103,6 @@ void VecEnv::step_discrete_into(const std::vector<std::size_t>& actions,
 void VecEnv::reset_env_into(std::size_t i, std::uint64_t seed,
                             std::span<float> obs) {
   STELLARIS_DCHECK(i < envs_.size());
-  env_seeds_[i] = seed;
   envs_[i]->reset_into(seed, obs);
 }
 

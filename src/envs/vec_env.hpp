@@ -1,13 +1,9 @@
-// Vectorized environment driver: N environment copies stepped as a batch,
-// optionally across real threads.
+// Vectorized environment driver: N environment copies stepped as a batch.
 //
 // The paper's actors each own one environment; this wrapper is the
-// substrate for *serverful* multi-core actors (one process driving many
-// envs, as RLlib's rollout workers do) and for the vectorized VecActor
-// (DESIGN.md §17) that batches policy inference across envs. Stepping is
-// deterministic in serial mode; the threaded mode partitions envs
-// statically across the pool so results are identical to serial for the
-// same seeds.
+// substrate for the vectorized VecActor (DESIGN.md §17) that batches
+// policy inference across envs. Envs are stepped in index order, so a
+// batch step is deterministic for the same seeds.
 //
 // RNG discipline: every method that draws auto-reset seeds exists in two
 // forms — a legacy form drawing from the member stream (constructor seed),
@@ -24,16 +20,13 @@
 #include "envs/env.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stellaris::envs {
 
 class VecEnv {
  public:
-  /// Construct `n` copies of `name`. `threads` > 0 enables a thread pool
-  /// (each env is still stepped by exactly one thread per call).
-  VecEnv(const std::string& name, std::size_t n, std::uint64_t seed,
-         std::size_t threads = 0);
+  /// Construct `n` copies of `name`; `seed` seeds the member stream.
+  VecEnv(const std::string& name, std::size_t n, std::uint64_t seed);
 
   std::size_t size() const { return envs_.size(); }
   const EnvSpec& spec() const { return spec_; }
@@ -87,13 +80,7 @@ class VecEnv {
 
   EnvSpec spec_;
   std::vector<std::unique_ptr<Env>> envs_;
-  std::vector<std::uint64_t> env_seeds_;
   std::vector<double> running_returns_;
-  // Worker-written scratch for the batch step: plain structs per env (NOT
-  // vector<bool>, whose packed bits would race across threads).
-  std::vector<StepOut> step_scratch_;
-  std::vector<std::uint64_t> reset_seed_scratch_;
-  std::unique_ptr<ThreadPool> pool_;
   Rng rng_;
   std::uint64_t total_steps_ = 0;
 };

@@ -2,22 +2,18 @@
 //
 // A batched forward needs a model whose weights are the batch's policy
 // version; under the concurrent driver several batches (possibly different
-// versions of the SAME tenant) run at once, so models cannot be shared. The
-// pool leases one scratch ActorCritic per body execution, exactly the
-// core::WorkerContextPool discipline: lease at body start on whichever
-// thread runs the body, construct outside the lock, fully overwrite
-// (set_flat_params) before reading — which context a body draws never
-// affects results. One pool per tenant, because the model geometry is the
-// tenant's (obs_dim, act_dim, hidden).
+// versions of the SAME tenant) run at once, so models cannot be shared. A
+// LeasePool (util/lease_pool.hpp) leases one scratch ActorCritic per body
+// execution; the body overwrites it (set_flat_params) before reading. One
+// pool per tenant, because the model geometry is the tenant's (obs_dim,
+// act_dim, hidden).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "nn/actor_critic.hpp"
 #include "serve/serve_config.hpp"
-#include "util/annotated_mutex.hpp"
+#include "util/lease_pool.hpp"
 
 namespace stellaris::serve {
 
@@ -37,55 +33,7 @@ struct ServeContext {
   nn::ActorCritic model;  ///< scratch; set_flat_params before every forward
 };
 
-class ServeContextPool {
- public:
-  ServeContextPool(TenantConfig tenant, std::uint64_t seed)
-      : tenant_(std::move(tenant)), seed_(seed) {}
-
-  /// RAII lease: returns the context to the free list on destruction.
-  class Lease {
-   public:
-    Lease(ServeContextPool* pool, std::unique_ptr<ServeContext> ctx)
-        : pool_(pool), ctx_(std::move(ctx)) {}
-    ~Lease() {
-      if (ctx_) pool_->give_back(std::move(ctx_));
-    }
-    Lease(Lease&&) = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    ServeContext* operator->() { return ctx_.get(); }
-    ServeContext& operator*() { return *ctx_; }
-
-   private:
-    ServeContextPool* pool_;
-    std::unique_ptr<ServeContext> ctx_;
-  };
-
-  /// Thread-safe; called at body start on whichever thread runs the body.
-  Lease lease() {
-    {
-      MutexLock lock(mu_);
-      if (!free_.empty()) {
-        auto ctx = std::move(free_.back());
-        free_.pop_back();
-        return Lease(this, std::move(ctx));
-      }
-    }
-    // Construct outside the lock (model construction runs init kernels).
-    return Lease(this, std::make_unique<ServeContext>(tenant_, seed_));
-  }
-
- private:
-  void give_back(std::unique_ptr<ServeContext> ctx) {
-    MutexLock lock(mu_);
-    free_.push_back(std::move(ctx));
-  }
-
-  const TenantConfig tenant_;
-  const std::uint64_t seed_;
-  Mutex mu_{"serve/contexts", lock_rank::kServeContexts};
-  std::vector<std::unique_ptr<ServeContext>> free_ GUARDED_BY(mu_);
-};
+/// Leases one ServeContext per body execution, built from (tenant, seed).
+using ServeContextPool = LeasePool<ServeContext, TenantConfig, std::uint64_t>;
 
 }  // namespace stellaris::serve

@@ -22,9 +22,10 @@
 //     first inverted acquisition, on any single-threaded code path, not
 //     just when two threads actually collide.
 //
-//  3. **Lintability.** tools/lint/stellaris_lint forbids raw std::mutex /
-//     std::condition_variable / std::lock_guard outside this header, so
-//     "is every lock annotated and ranked?" reduces to a grep.
+//  3. **Checkability.** stellaris_analyze's raw-mutex rule forbids raw
+//     std::mutex / std::condition_variable / std::lock_guard outside this
+//     header, and its lock-rank rule checks every construction's name and
+//     rank against DESIGN.md §11.
 //
 // Lock hierarchy (ranks; a thread may only acquire strictly increasing
 // ranks — full table and rationale in DESIGN.md §11):
@@ -35,8 +36,7 @@
 //   200  util/thread-pool          work-queue mutex
 //   210  sim/driver-queue          execution-driver job queue
 //   220  sim/driver-job            per-job done flag + error slot
-//   230  core/worker-contexts      worker-context free list
-//   240  serve/contexts            serving model-context free list
+//   230  util/lease-pool           every LeasePool free list
 //   250  util/parallel-for-errors  error capture inside pool tasks
 //   300  obs/metrics-registry      instrument registration + export
 //   350  obs/trace-recorder        trace event buffer
@@ -118,14 +118,11 @@ inline constexpr int kThreadPool = 200;
 // body waiting on its predecessor holds NOTHING (sequential, never nested).
 inline constexpr int kDriverQueue = 210;
 inline constexpr int kDriverJob = 220;
-// Worker-context free-list (core/worker_context): leased at body start,
-// returned at body end, never held across the lease.
-inline constexpr int kWorkerContexts = 230;
-// Serving-tier per-tenant scratch contexts (serve/serve_context): same
-// lease-at-body-start discipline as kWorkerContexts, a distinct rank so a
-// serve body may legally lease while a training context is held (mixed
-// train+serve processes).
-inline constexpr int kServeContexts = 240;
+// Every util::LeasePool free list (worker and serving contexts). The mutex
+// is held only inside lease() and give_back(), never across a lease, so a
+// thread holding leases from two pools holds no pool lock: one rank for
+// every pool is safe.
+inline constexpr int kLeasePool = 230;
 inline constexpr int kParallelForErrors = 250;
 inline constexpr int kMetricsRegistry = 300;
 inline constexpr int kTraceRecorder = 350;

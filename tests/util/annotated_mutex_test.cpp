@@ -79,7 +79,7 @@ TEST(AnnotatedMutex, CondVarWaitUntilTimesOut) {
   CondVar cv;
   MutexLock lock(mu);
   // Nobody will notify: must come back with timeout, re-holding the lock.
-  // lint-equivalent note: tests are not linted; this is a real-time wait.
+  // Tests are outside the hygiene scope (DESIGN.md §16.5): a real-time wait.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
   EXPECT_EQ(cv.wait_until(mu, deadline), std::cv_status::timeout);

@@ -1,10 +1,8 @@
 // stellaris_analyze — whole-project static invariant checker.
 //
-// Where tools/lint/stellaris_lint is a line-regex pass (randomness,
-// wall-clock, raw threads, ...), this tool understands just enough C++
-// structure — tokens, include edges, function bodies, call references —
-// to machine-check the four invariant families the compiler cannot see
-// (DESIGN.md §16):
+// The tool understands just enough C++ structure — tokens, include edges,
+// function bodies, call references — to machine-check the five invariant
+// families the compiler cannot see (DESIGN.md §16):
 //
 //   layer-dag       #include edges between src/ layers must follow the
 //                   architecture DAG declared in tools/analyze/layers.toml.
@@ -22,9 +20,13 @@
 //                   tools/report/ledger_analysis.cpp accepts, so an
 //                   emitter/parser skew fails the build instead of
 //                   silently dropping report rows.
+//   hygiene         determinism and concurrency hygiene over src/,
+//                   tools/report/ and examples/: rules randomness,
+//                   wall-clock, raw-thread, raw-mutex, unordered,
+//                   shard-iter, serve-sleep, driver-engine (hygiene.cpp).
 //
-// Findings are suppressed per line with `analyze:<rule>-ok` markers (same
-// convention as the lint) or per finding id via the commented baseline
+// Findings are suppressed per line with `analyze:<rule>-ok` markers (own
+// line or the line above) or per finding id via the commented baseline
 // file tools/analyze/baseline.txt. Determinism note: the analyzer itself
 // only uses ordered containers, so its output order is stable.
 #pragma once
@@ -122,8 +124,15 @@ void check_locks(const Project& project, const std::string& design_md,
                  std::vector<Finding>& out);
 void check_purity(const Project& project, std::vector<Finding>& out);
 void check_ledger(const Project& project, std::vector<Finding>& out);
+/// The hygiene rule family; each finding's rule is the individual rule name.
+void check_hygiene(const Project& project, std::vector<Finding>& out);
 
-/// All four passes over a tree rooted at `root` (uses `root/DESIGN.md` and
+/// The subtrees analyze_tree loads (and the self-test reloads for its
+/// `// expect:` annotations).
+inline const std::vector<std::string> kAnalyzedSubdirs = {"src", "tools",
+                                                          "bench", "examples"};
+
+/// All passes over a tree rooted at `root` (uses `root/DESIGN.md` and
 /// `layers_path` for configuration). Layer-graph config errors surface as
 /// findings against the layers file itself.
 std::vector<Finding> analyze_tree(const std::string& root,
