@@ -24,12 +24,13 @@
 namespace stellaris::bench {
 
 /// Shared observability flag surface: every figure bench accepts
-///   --trace-out=<file>        Chrome trace-event JSON (open in Perfetto)
 ///   --metrics-out=<file>      metrics snapshot (JSON, or CSV if *.csv)
 ///   --ledger-out=<file>       causal run ledger (JSONL; see DESIGN.md §13)
 ///   --timeseries-out=<file>   windowed time series (JSON, or CSV if *.csv)
 ///   --timeseries-window=<s>   sampling window width in virtual seconds
-/// and captures the whole bench run in one ObsSession. Unknown arguments
+/// and captures the whole bench run in one ObsSession. The Chrome trace
+/// (Perfetto) is rendered from the ledger afterwards:
+///   stellaris_report run.jsonl --chrome-trace=run.trace.json Unknown arguments
 /// are ignored so the flags compose with whatever else a bench parses.
 /// With no flag given, recording stays disabled and the run's results
 /// are bit-identical to an uninstrumented build.
@@ -38,9 +39,7 @@ inline std::unique_ptr<obs::ObsSession> obs_session_from_args(int argc,
   obs::ObsOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0)
-      opts.trace_path = arg.substr(12);
-    else if (arg.rfind("--metrics-out=", 0) == 0)
+    if (arg.rfind("--metrics-out=", 0) == 0)
       opts.metrics_path = arg.substr(14);
     else if (arg.rfind("--ledger-out=", 0) == 0)
       opts.ledger_path = arg.substr(13);

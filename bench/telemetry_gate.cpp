@@ -1,7 +1,7 @@
 // Telemetry bit-identity gate (CI: telemetry-gate job).
 //
 // The observability layer's core contract is that it only *observes*: with
-// trace + ledger + time-series capture all enabled, a training run must
+// ledger + time-series capture both enabled, a training run must
 // produce bit-identical results to the same run with capture off. This gate
 // enforces the contract end-to-end:
 //
@@ -12,7 +12,9 @@
 //      self-consistent: per-stage critical-path times sum to the total
 //      virtual run time, and the wasted-cost attribution matches the fault
 //      subsystem's own counters,
-//   4. a summary CSV is written at %.6g (coarse enough to dodge libm drift
+//   4. the Chrome trace rendered from each ledger parses and carries one
+//      invocation span per `invoke` event,
+//   5. a summary CSV is written at %.6g (coarse enough to dodge libm drift
 //      across toolchains) for diffing against the tracked baseline
 //      bench/baselines/telemetry_gate.csv.
 //
@@ -26,11 +28,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
+#include "tools/report/chrome_trace.hpp"
 #include "tools/report/ledger_analysis.hpp"
+#include "util/mini_json.hpp"
 
 using namespace stellaris;
 
@@ -98,14 +103,11 @@ core::TrainConfig faulty_config() {
 /// Run with every recorder installed; recorders outlive the run so the
 /// caller can inspect what was captured.
 core::TrainResult run_instrumented(const core::TrainConfig& cfg,
-                                   obs::TraceRecorder& tr,
                                    obs::LedgerRecorder& led,
                                    obs::TimeSeriesRecorder& ts) {
-  obs::install_trace(&tr);
   obs::install_ledger(&led);
   obs::install_timeseries(&ts);
   auto result = core::run_training(cfg);
-  obs::install_trace(nullptr);
   obs::install_ledger(nullptr);
   obs::install_timeseries(nullptr);
   return result;
@@ -170,6 +172,34 @@ void check_report(const report::RunReport& rep,
   check(!rep.staleness.empty(), (p + ": staleness per version").c_str());
 }
 
+/// The Chrome trace is a view of the ledger: it must parse, and carry one
+/// invocation span per `invoke` event.
+void check_trace(const std::vector<std::string>& lines, const char* label) {
+  const std::string p(label);
+  std::size_t invoke_events = 0;
+  for (const auto& line : lines)
+    if (minijson::parse(line).at("ev").string() == "invoke") ++invoke_events;
+  std::ostringstream os;
+  report::write_chrome_trace(lines, os);
+  std::size_t invocation_spans = 0;
+  try {
+    const minijson::Value root = minijson::parse(os.str());
+    for (const auto& ev : root.at("traceEvents").arr) {
+      if (ev.at("ph").string() != "X") continue;
+      const std::string& cat = ev.at("cat").string();
+      if (cat == "actor" || cat == "learner" || cat == "parameter")
+        ++invocation_spans;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "FAIL: %s: trace does not parse (%s)\n", label,
+                 e.what());
+    ++g_failures;
+  }
+  check(invoke_events > 0, (p + ": invoke events recorded").c_str());
+  check_eq_u64(invocation_spans, invoke_events,
+               (p + ": one invocation span per invoke event").c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,22 +220,18 @@ int main(int argc, char** argv) {
 
   // 1. Clean run, capture off vs fully on.
   const auto clean_off = core::run_training(clean_cfg);
-  obs::TraceRecorder clean_tr;
   obs::LedgerRecorder clean_led;
   obs::TimeSeriesRecorder clean_ts(1.0);
-  const auto clean_on =
-      run_instrumented(clean_cfg, clean_tr, clean_led, clean_ts);
+  const auto clean_on = run_instrumented(clean_cfg, clean_led, clean_ts);
   expect_identical(clean_off, clean_on, "clean");
   check(clean_led.size() > 0, "clean: ledger captured events");
   check(!clean_ts.series_names().empty(), "clean: time series captured");
 
   // 2. Faulty run (exercises crash/straggler/reclaim settle paths).
   const auto faulty_off = core::run_training(faulty_cfg);
-  obs::TraceRecorder faulty_tr;
   obs::LedgerRecorder faulty_led;
   obs::TimeSeriesRecorder faulty_ts(1.0);
-  const auto faulty_on =
-      run_instrumented(faulty_cfg, faulty_tr, faulty_led, faulty_ts);
+  const auto faulty_on = run_instrumented(faulty_cfg, faulty_led, faulty_ts);
   expect_identical(faulty_off, faulty_on, "faulty");
   check(faulty_on.faults.failed_invocations > 0,
         "faulty: faults were injected");
@@ -223,6 +249,10 @@ int main(int argc, char** argv) {
           "faulty report: wasted-cost attribution present");
   }
 
+  // 4. The derived Chrome trace of both captured ledgers.
+  check_trace(clean_led.lines(), "clean trace");
+  check_trace(faulty_led.lines(), "faulty trace");
+
   if (!ledger_path.empty()) {
     if (!faulty_led.write_file(ledger_path)) {
       std::fprintf(stderr, "FAIL: cannot write %s\n", ledger_path.c_str());
@@ -230,7 +260,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4. Summary CSV at %.6g for the tracked-baseline diff.
+  // 5. Summary CSV at %.6g for the tracked-baseline diff.
   {
     std::ofstream csv(csv_path);
     if (!csv) {

@@ -120,11 +120,9 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
     }
   };
 
-  // Observability: sync baselines trace their barrier phases on three
-  // tracks per run so the contrast with the async pipeline is visible in
-  // the same Perfetto view.
+  // A new run id keeps multi-run ledgers separable (the sync baselines
+  // themselves write no ledger events).
   obs::begin_run();
-  const std::string trace_tag = obs::run_tag();
   obs::Counter& m_rounds = obs::metrics().counter("sync.rounds");
   obs::Gauge& m_round_reward = obs::metrics().gauge("sync.round_reward");
 
@@ -240,18 +238,6 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
     }
 
     const double round_s = actor_phase_s + learner_phase_s + allreduce_s;
-    if (auto* tr = obs::trace()) {
-      const double t_actors = clock_s;
-      const double t_learners = t_actors + actor_phase_s;
-      const double t_allreduce = t_learners + learner_phase_s;
-      tr->complete(tr->track(trace_tag + "/sync/actors"), "actor_wave",
-                   "sync", t_actors, t_learners, {{"round", round}});
-      tr->complete(tr->track(trace_tag + "/sync/learners"),
-                   "learner_compute", "sync", t_learners, t_allreduce,
-                   {{"round", round}, {"learners", deltas.size()}});
-      tr->complete(tr->track(trace_tag + "/sync/allreduce"), "allreduce",
-                   "sync", t_allreduce, clock_s + round_s, {{"round", round}});
-    }
     clock_s += round_s;
 
     // Serverless actor billing for MinionsRL: busy seconds only.

@@ -65,9 +65,8 @@ StellarisTrainer::StellarisTrainer(TrainConfig cfg)
                 1.0, cfg.staleness_floor),
       rng_(cfg_.seed) {
   cfg_.validate();
-  // New trace namespace for this run; the platform's tracks inherit it.
+  // New run id: every ledger event of this run is stamped with it.
   obs::begin_run();
-  trace_tag_ = obs::run_tag();
   {
     auto& m = obs::metrics();
     m_staleness_ = &m.histogram("trainer.staleness", 0.0, 64.0, 128);
@@ -171,15 +170,9 @@ StellarisTrainer::PolicyRef StellarisTrainer::latest_policy() {
   return decoded_policy_;
 }
 
-obs::TrackId StellarisTrainer::trainer_track(obs::TraceRecorder* tr) const {
-  return tr->track(trace_tag_ + "/trainer");
-}
-
 void StellarisTrainer::note_grad_queue_depth() {
   const double depth = static_cast<double>(queue_.size());
   m_grad_queue_depth_->set(depth);
-  if (auto* tr = obs::trace())
-    tr->counter(trace_tag_ + "/gradient_queue_depth", engine_.now(), depth);
   if (auto* ts = obs::timeseries())
     ts->sample("trainer.gradient_queue_depth", engine_.now(), depth);
 }
@@ -187,20 +180,11 @@ void StellarisTrainer::note_grad_queue_depth() {
 void StellarisTrainer::note_pending_trajs() {
   const double depth = static_cast<double>(pending_trajs_.size());
   m_pending_trajs_->set(depth);
-  if (auto* tr = obs::trace())
-    tr->counter(trace_tag_ + "/pending_trajectories", engine_.now(), depth);
   if (auto* ts = obs::timeseries())
     ts->sample("trainer.pending_trajectories", engine_.now(), depth);
 }
 
 TrainResult StellarisTrainer::train() {
-  auto* tr = obs::trace();
-  obs::ScopedSpan train_span(
-      tr, tr ? trainer_track(tr) : 0, "train", "trainer",
-      [this] { return engine_.now(); },
-      {{"env", cfg_.env_name},
-       {"actors", cfg_.num_actors},
-       {"rounds", cfg_.rounds}});
   if (auto* led = obs::ledger())
     led->append(obs::LedgerEvent("run_begin", engine_.now())
                     .field("env", cfg_.env_name)
@@ -310,7 +294,6 @@ void StellarisTrainer::launch_actor(std::size_t actor_idx) {
   opts.payload_out_bytes = cfg_.horizon * cfg_.envs_per_actor *
                            (env_spec_.obs.flat_dim + 8) * sizeof(float);
   opts.tier = serverless::DataTier::kCache;
-  opts.span_name = "actor_sampling";
   // Step ①: pull the latest policy when the actor starts. Fires once per
   // retry attempt, so a re-invoked actor samples under a FRESH snapshot.
   opts.on_start = [this, pulled](double) { *pulled = latest_policy(); };
@@ -376,11 +359,6 @@ void StellarisTrainer::on_actor_complete(
   // transfer overlaps learner queueing and startup.
   traj_loader_ids_[traj_id] =
       data_loader_->on_trajectory(engine_.now(), bytes.size());
-  if (auto* tr = obs::trace())
-    tr->instant(trainer_track(tr), "traj_published", "trainer", engine_.now(),
-                {{"traj_id", traj_id},
-                 {"actor", actor_idx},
-                 {"policy_version", snapshot.version}});
   const std::size_t traj_bytes = bytes.size();
   cache_.put(keys::trajectory(traj_id), std::move(bytes));
   if (auto* led = obs::ledger())
@@ -463,7 +441,6 @@ void StellarisTrainer::maybe_launch_learner() {
     opts.payload_in_bytes = param_fn_->param_dim() * sizeof(float);
     opts.payload_out_bytes = param_fn_->param_dim() * sizeof(float);
     opts.tier = serverless::DataTier::kCache;
-    opts.span_name = "learner_compute";
     // Step ②: the learner pulls the latest policy at container start. Under
     // retries this fires once per attempt; the previous attempt's entry in
     // the in-flight version multiset must be withdrawn before the fresh
@@ -631,12 +608,6 @@ void StellarisTrainer::on_learner_complete(
 }
 
 void StellarisTrainer::on_gradient(GradientMsg msg) {
-  if (auto* tr = obs::trace())
-    tr->instant(trainer_track(tr), "grad_enqueued", "trainer", engine_.now(),
-                {{"learner_id", msg.learner_id},
-                 {"pulled_version", msg.pulled_version},
-                 {"staleness_now",
-                  param_fn_->version() - msg.pulled_version}});
   if (auto* ts = obs::timeseries())
     ts->sample("trainer.staleness", engine_.now(),
                static_cast<double>(param_fn_->version() -
@@ -713,7 +684,6 @@ void StellarisTrainer::start_aggregation(
       group.size() * param_fn_->param_dim() * sizeof(float);
   opts.payload_out_bytes = param_fn_->param_dim() * sizeof(float);
   opts.tier = serverless::DataTier::kCache;
-  opts.span_name = "gradient_aggregation";
   auto shared_group = std::make_shared<std::vector<GradientQueue::Item>>(
       std::move(group));
   platform_->invoke_retrying(opts, cfg_.retry, [this, shared_group,
@@ -796,9 +766,6 @@ void StellarisTrainer::maybe_checkpoint(std::uint64_t new_version) {
   cache_.put(keys::kCheckpoint, encode_checkpoint(param_fn_->serialize_state()));
   ++checkpoints_written_;
   m_checkpoints_->add();
-  if (auto* tr = obs::trace())
-    tr->instant(trainer_track(tr), "checkpoint", "fault", engine_.now(),
-                {{"version", new_version}});
   if (auto* led = obs::ledger())
     led->append(obs::LedgerEvent("ckpt", engine_.now())
                     .field("version", new_version)
@@ -817,10 +784,6 @@ void StellarisTrainer::recover_param_fn(
     param_fn_->restore_state(decode_checkpoint(ckpt->bytes()));
     ++restores_;
     m_restores_->add();
-    if (auto* tr = obs::trace())
-      tr->instant(trainer_track(tr), "restore", "fault", engine_.now(),
-                  {{"version", param_fn_->version()},
-                   {"dropped_gradients", group.size()}});
     if (auto* led = obs::ledger())
       led->append(obs::LedgerEvent("restore", engine_.now())
                       .field("version", param_fn_->version())
@@ -873,15 +836,6 @@ void StellarisTrainer::finish_round(
   m_round_kl_->set(round_kl);
   m_update_kl_->observe(round_kl);
   if (rec.evaluated) m_round_reward_->set(rec.reward);
-  if (auto* tr = obs::trace()) {
-    obs::TraceArgs args{{"round", rec.round},
-                        {"group_size", rec.group_size},
-                        {"mean_staleness", rec.mean_staleness},
-                        {"kl", round_kl}};
-    if (rec.evaluated) args.emplace_back("reward", rec.reward);
-    tr->complete(tr->track(trace_tag_ + "/trainer/rounds"), "round", "round",
-                 last_round_end_s_, rec.time_s, std::move(args));
-  }
   if (auto* led = obs::ledger()) {
     obs::LedgerEvent ev("round", rec.time_s);
     ev.field("round", rec.round)
@@ -892,7 +846,6 @@ void StellarisTrainer::finish_round(
     if (rec.evaluated) ev.field("reward", rec.reward);
     led->append(std::move(ev).finish());
   }
-  last_round_end_s_ = rec.time_s;
   result_.rounds.push_back(rec);
 
   if (last) {

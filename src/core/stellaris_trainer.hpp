@@ -111,7 +111,6 @@ class StellarisTrainer {
   /// snapshot is shared with the caller).
   PolicyRef latest_policy();
   std::size_t learner_limit() const;
-  obs::TrackId trainer_track(obs::TraceRecorder* tr) const;
   void note_grad_queue_depth();
   void note_pending_trajs();
 
@@ -187,8 +186,7 @@ class StellarisTrainer {
   std::uint64_t restores_ = 0;
   double retry_wait_accum_ = 0.0;
 
-  // Observability (src/obs): run-scoped trace tag + metric handles.
-  std::string trace_tag_;
+  // Observability (src/obs): metric handles.
   obs::FixedHistogram* m_staleness_;
   obs::FixedHistogram* m_update_kl_;
   obs::Gauge* m_grad_queue_depth_;
@@ -200,7 +198,6 @@ class StellarisTrainer {
   obs::Counter* m_restores_;
   obs::Counter* m_policy_decodes_;
   obs::Counter* m_policy_pull_reuses_;
-  double last_round_end_s_ = 0.0;
 
   TrainResult result_;
 

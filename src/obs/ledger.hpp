@@ -1,16 +1,17 @@
 // Run ledger — structured, causally-linked lifecycle events over the
 // virtual clock, one JSON object per line (JSONL).
 //
-// Where the Chrome trace (obs/trace.hpp) is built for *visual* inspection,
-// the ledger is built for *analysis*: every trajectory, gradient, and
-// policy update carries propagated IDs (traj_id, learner_id, agg_id,
+// The ledger is the run's one causal record: every trajectory, gradient,
+// and policy update carries propagated IDs (traj_id, learner_id, agg_id,
 // policy_version, and the invocation ledger-id `lid` that produced it), so
 // an offline tool can reconstruct the full causal path
 //
 //   actor rollout → cache put → learner claim → gradient → aggregation
 //   gate decision → policy version bump
 //
-// and attribute virtual time and cost along it (tools/report/).
+// and attribute virtual time and cost along it (tools/report/). The Chrome
+// trace for Perfetto is a view of the same lines
+// (tools/report/chrome_trace.hpp, `stellaris_report --chrome-trace=`).
 //
 // Event schema (shared contract with tools/report/ledger_analysis.cpp and
 // DESIGN.md §13). Every event has `ev` (type), `run` (run id, stamped from
@@ -18,10 +19,10 @@
 // are rendered with round-trip precision (%.17g) so offline sums reproduce
 // the simulator's arithmetic exactly.
 //
-// Cost model: like tracing, the ledger is opt-in; when disabled the hot
-// paths pay one relaxed atomic load + branch (see obs/obs.hpp), and an
-// enabled ledger only observes — it draws no randomness and schedules no
-// events, so results stay bit-identical with recording on or off.
+// Cost model: the ledger is opt-in; when disabled the hot paths pay one
+// relaxed atomic load + branch (see obs/obs.hpp), and an enabled ledger
+// only observes — it draws no randomness and schedules no events, so
+// results stay bit-identical with recording on or off.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 
-#include "obs/trace.hpp"  // TraceArg::render_double for JSON numbers
 #include "util/error.hpp"
 
 namespace stellaris::obs {
@@ -32,7 +32,13 @@ void atomic_max(std::atomic<double>& a, double x) {
   }
 }
 
-std::string num(double v) { return TraceArg::render_double(v); }
+/// JSON number at %.9g (null for non-finite values: JSON has no NaN/Inf).
+std::string num(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
 
 }  // namespace
 

@@ -5,15 +5,10 @@
 namespace stellaris::obs {
 
 namespace detail {
-std::atomic<TraceRecorder*> g_trace{nullptr};
 std::atomic<LedgerRecorder*> g_ledger{nullptr};
 std::atomic<TimeSeriesRecorder*> g_timeseries{nullptr};
 std::atomic<std::uint64_t> g_run_counter{0};
 }  // namespace detail
-
-void install_trace(TraceRecorder* recorder) {
-  detail::g_trace.store(recorder, std::memory_order_release);
-}
 
 void install_ledger(LedgerRecorder* recorder) {
   detail::g_ledger.store(recorder, std::memory_order_release);
@@ -31,21 +26,8 @@ std::uint64_t current_run() {
   return detail::g_run_counter.load(std::memory_order_relaxed);
 }
 
-std::string run_tag() {
-  return "run" +
-         std::to_string(detail::g_run_counter.load(std::memory_order_relaxed));
-}
-
-std::string run_track(const std::string& suffix) {
-  return run_tag() + "/" + suffix;
-}
-
 ObsSession::ObsSession(ObsOptions opts) : opts_(std::move(opts)) {
   if (opts_.reset_metrics) metrics().reset();
-  if (!opts_.trace_path.empty()) {
-    trace_ = std::make_unique<TraceRecorder>();
-    install_trace(trace_.get());
-  }
   if (!opts_.ledger_path.empty()) {
     ledger_ = std::make_unique<LedgerRecorder>();
     install_ledger(ledger_.get());
@@ -58,14 +40,6 @@ ObsSession::ObsSession(ObsOptions opts) : opts_(std::move(opts)) {
 }
 
 ObsSession::~ObsSession() {
-  if (trace_) {
-    install_trace(nullptr);
-    if (trace_->write_file(opts_.trace_path))
-      LOG_INFO << "trace written to " << opts_.trace_path << " ("
-               << trace_->size() << " events)";
-    else
-      LOG_ERROR << "failed to write trace to " << opts_.trace_path;
-  }
   if (ledger_) {
     install_ledger(nullptr);
     if (ledger_->write_file(opts_.ledger_path))
@@ -88,26 +62,6 @@ ObsSession::~ObsSession() {
     else
       LOG_ERROR << "failed to write metrics to " << opts_.metrics_path;
   }
-}
-
-ScopedSpan::ScopedSpan(TraceRecorder* rec, TrackId tid, std::string name,
-                       const char* category, std::function<double()> now,
-                       TraceArgs args)
-    : rec_(rec),
-      tid_(tid),
-      name_(std::move(name)),
-      cat_(category),
-      now_(std::move(now)),
-      args_(std::move(args)) {
-  if (rec_) t0_ = now_();
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (rec_) rec_->complete(tid_, name_, cat_, t0_, now_(), std::move(args_));
-}
-
-void ScopedSpan::arg(TraceArg a) {
-  if (rec_) args_.push_back(std::move(a));
 }
 
 }  // namespace stellaris::obs

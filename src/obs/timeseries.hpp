@@ -14,7 +14,7 @@
 // in the export, not zero-filled, so "the queue drained and nothing
 // sampled it" is distinguishable from "the queue was empty".
 //
-// Like the trace recorder and the ledger, this is an observation-only
+// Like the ledger, this is an observation-only
 // sink: sampling draws no randomness and schedules no events, so results
 // are bit-identical with recording on or off. Call sites go through
 // obs::timeseries() (one relaxed atomic load + branch when disabled).

@@ -18,8 +18,7 @@ ServerlessPlatform::ServerlessPlatform(sim::Engine& engine,
       rng_(seed),
       gpu_pool_(cluster_.learner_slots(), latency_, seed ^ 0x6b75ULL, "gpu"),
       actor_pool_(std::max<std::size_t>(cluster_.actor_slots(), 1), latency_,
-                  seed ^ 0xac70ULL, "actor"),
-      trace_tag_(obs::run_tag()) {
+                  seed ^ 0xac70ULL, "actor") {
   auto& m = obs::metrics();
   m_invocations_[static_cast<int>(FnKind::kLearner)] =
       &m.counter("platform.invocations.learner");
@@ -86,9 +85,6 @@ void ServerlessPlatform::note_queue_depth(FnKind kind) const {
       actor ? actor_queue_.size() : gpu_queue_.size();
   (actor ? m_actor_queue_depth_ : m_gpu_queue_depth_)
       ->set(static_cast<double>(depth));
-  if (auto* tr = obs::trace())
-    tr->counter(trace_tag_ + "/queue_depth/" + (actor ? "actor" : "gpu"),
-                engine_.now(), static_cast<double>(depth));
   if (auto* ts = obs::timeseries())
     ts->sample(actor ? "platform.queue_depth.actor"
                      : "platform.queue_depth.gpu",
@@ -182,13 +178,6 @@ void ServerlessPlatform::invoke_retrying(const InvokeOptions& options,
       chain->wait_total += backoff;
       ++retries_;
       m_retries_->add();
-      if (auto* tr = obs::trace())
-        tr->instant(tr->track(trace_tag_ + "/faults"), "retry", "fault",
-                    engine_.now(),
-                    {{"kind", fn_kind_name(chain->options.kind)},
-                     {"error", fault::error_kind_name(r.error)},
-                     {"retry", chain->retries_done},
-                     {"backoff_s", backoff}});
       if (auto* led = obs::ledger())
         led->append(obs::LedgerEvent("retry", engine_.now())
                         .field("kind", fn_kind_name(chain->options.kind))
@@ -218,46 +207,6 @@ void ServerlessPlatform::try_dispatch(FnKind kind) {
   if (queue.size() != before) note_queue_depth(kind);
 }
 
-void ServerlessPlatform::trace_invocation(const InFlight& inflight) const {
-  auto* tr = obs::trace();
-  if (!tr) return;
-  const InvokeResult& result = inflight.result;
-  const FnKind kind = inflight.kind;
-  const bool cache_tier = inflight.tier == DataTier::kCache;
-  const std::string track = trace_tag_ + "/" + pool_for_name(kind) +
-                            std::to_string(inflight.container);
-  const obs::TrackId tid = tr->track(track);
-  const char* name =
-      inflight.span_name ? inflight.span_name : fn_kind_name(kind);
-  obs::TraceArgs args{{"cold", result.cold},
-                      {"queue_wait_s", result.start_time_s - result.submit_time_s},
-                      {"billed_s", result.billed_s},
-                      {"cost_usd", result.cost_usd},
-                      {"payload_in_bytes", inflight.payload_in_bytes},
-                      {"payload_out_bytes", inflight.payload_out_bytes}};
-  if (!result.ok)
-    args.emplace_back("error", fault::error_kind_name(result.error));
-  tr->complete(tid, name, fn_kind_name(kind), result.start_time_s,
-               result.end_time_s, std::move(args));
-  // Nested phase spans: container start, input fetch, compute, output write.
-  // For a crashed or reclaimed invocation the phases past the kill point
-  // never ran; the parent span's `error` arg marks it, and phases are
-  // clipped to the end so no child extends past its parent.
-  double t = result.start_time_s + latency_.invoke_overhead_s;
-  auto child = [&](const char* cname, double dur) {
-    const double end = std::min(t + dur, result.end_time_s);
-    if (dur > 0.0 && end > t) tr->complete(tid, cname, "phase", t, end);
-    t += dur;
-  };
-  child(result.cold ? "cold_start" : "warm_start", result.start_latency_s);
-  child(cache_tier ? "cache_read" : "data_in", inflight.transfer_in_s);
-  child("compute", result.compute_s);
-  child(kind == FnKind::kParameter ? "policy_broadcast"
-        : cache_tier               ? "cache_write"
-                                   : "data_out",
-        inflight.transfer_out_s);
-}
-
 void ServerlessPlatform::ledger_invocation(const InFlight& inflight) const {
   auto* led = obs::ledger();
   if (!led) return;
@@ -271,8 +220,13 @@ void ServerlessPlatform::ledger_invocation(const InFlight& inflight) const {
       .field("start", result.start_time_s)
       .field("queue_s", result.start_time_s - result.submit_time_s)
       .field("cold", result.cold)
+      .field("overhead_s", latency_.invoke_overhead_s)
       .field("start_latency_s", result.start_latency_s)
-      .field("transfer_s", result.transfer_s)
+      .field("tier", data_tier_name(inflight.tier))
+      .field("bytes_in", inflight.payload_in_bytes)
+      .field("bytes_out", inflight.payload_out_bytes)
+      .field("transfer_in_s", inflight.transfer_in_s)
+      .field("transfer_out_s", inflight.transfer_out_s)
       .field("compute_s", result.compute_s)
       .field("billed_s", result.billed_s)
       .field("cost_usd", result.cost_usd)
@@ -283,10 +237,6 @@ void ServerlessPlatform::ledger_invocation(const InFlight& inflight) const {
   if (inflight.cache_delay_s > 0.0)
     ev.field("cache_delay_s", inflight.cache_delay_s);
   led->append(std::move(ev).finish());
-}
-
-const char* ServerlessPlatform::pool_for_name(FnKind kind) {
-  return kind == FnKind::kActor ? "actors/" : "gpu/";
 }
 
 void ServerlessPlatform::dispatch(Pending pending) {
@@ -356,7 +306,6 @@ void ServerlessPlatform::dispatch(Pending pending) {
   inflight.container = acq->container_id;
   inflight.result = result;
   inflight.cb = std::move(pending.cb);
-  inflight.span_name = pending.options.span_name;
   inflight.tier = pending.options.tier;
   inflight.payload_in_bytes = pending.options.payload_in_bytes;
   inflight.payload_out_bytes = pending.options.payload_out_bytes;
@@ -394,10 +343,9 @@ void ServerlessPlatform::settle_inflight(InFlight& inflight) {
   if (!inflight.result.ok) m_failed_invocations_->add();
   --inflight_by_kind_[static_cast<int>(kind)];
   note_inflight(kind);
-  // Spans and ledger events are emitted here — at the invocation's actual
-  // end (completion or kill) — never at dispatch with a predicted end, so
+  // The ledger event is emitted here — at the invocation's actual end
+  // (completion or kill) — never at dispatch with a predicted end, so
   // reclaimed invocations close exactly at the reclaim time.
-  trace_invocation(inflight);
   ledger_invocation(inflight);
   if (auto* ts = obs::timeseries()) {
     ts->sample("platform.cost_usd", inflight.result.end_time_s,
@@ -447,11 +395,6 @@ void ServerlessPlatform::reclaim_random_vm(Rng& fault_rng) {
             << (host.gpu_pool ? "gpu" : "actor") << " slots "
             << host.first_slot << "+" << host.slot_count << ") at t=" << now
             << ": killing " << failed.size() << " invocations";
-  if (auto* tr = obs::trace())
-    tr->instant(tr->track(trace_tag_ + "/faults"), "vm_reclaim", "fault", now,
-                {{"vm", host.vm_name},
-                 {"pool", host.gpu_pool ? "gpu" : "actor"},
-                 {"killed_invocations", failed.size()}});
   if (auto* led = obs::ledger())
     led->append(obs::LedgerEvent("reclaim", now)
                     .field("vm", host.vm_name)

@@ -52,9 +52,6 @@ class ServerlessPlatform {
     /// function naturally re-pulls a FRESH policy snapshot (retries do not
     /// silently inflate staleness).
     std::function<void(double start_time_s)> on_start;
-    /// Label for this invocation's trace span (static string); falls back
-    /// to the function-kind name when unset.
-    const char* span_name = nullptr;
     /// Caller-assigned ledger id: stamps this invocation's `invoke` ledger
     /// event so downstream events (trajectories, gradients, aggregations)
     /// can reference the invocation that produced them. 0 = unassigned.
@@ -146,16 +143,15 @@ class ServerlessPlatform {
   };
   /// A dispatched, not-yet-completed invocation — the handle a VM
   /// reclamation uses to fail work mid-flight. Carries the telemetry
-  /// context needed at settle time: trace spans and ledger events are
-  /// emitted only once the outcome is final (normal completion OR a
-  /// reclamation), so a killed invocation's span ends at the kill and a
-  /// ledger never contains a span extending past it.
+  /// context needed at settle time: the ledger `invoke` event is emitted
+  /// only once the outcome is final (normal completion OR a reclamation),
+  /// so a killed invocation ends at the kill and the ledger never holds an
+  /// invocation extending past it.
   struct InFlight {
     FnKind kind = FnKind::kLearner;
     std::size_t container = 0;
     InvokeResult result;
     Callback cb;
-    const char* span_name = nullptr;
     DataTier tier = DataTier::kCache;
     std::size_t payload_in_bytes = 0;
     std::size_t payload_out_bytes = 0;
@@ -188,13 +184,11 @@ class ServerlessPlatform {
   /// teardown is done.
   void settle_inflight(InFlight& inflight);
   void reclaim_random_vm(Rng& fault_rng);
-  /// Trace span + ledger `invoke` event for a settled invocation (called
-  /// from settle_inflight, never at dispatch — see InFlight).
-  void trace_invocation(const InFlight& inflight) const;
+  /// Ledger `invoke` event for a settled invocation (called from
+  /// settle_inflight, never at dispatch — see InFlight).
   void ledger_invocation(const InFlight& inflight) const;
   void note_queue_depth(FnKind kind) const;
   void note_inflight(FnKind kind) const;
-  static const char* pool_for_name(FnKind kind);
 
   sim::Engine& engine_;
   ClusterSpec cluster_;
@@ -218,9 +212,7 @@ class ServerlessPlatform {
   std::uint64_t retries_ = 0;
   std::uint64_t giveups_ = 0;
 
-  // Observability: run-scoped trace tag (captured at construction so all of
-  // this platform's tracks group under the owning run) and metric handles.
-  std::string trace_tag_;
+  // Observability: metric handles.
   obs::Counter* m_invocations_[3];      // indexed by training FnKind
   obs::Counter* m_failed_invocations_;
   obs::Counter* m_retries_;

@@ -39,7 +39,6 @@
 //   230  util/lease-pool           every LeasePool free list
 //   250  util/parallel-for-errors  error capture inside pool tasks
 //   300  obs/metrics-registry      instrument registration + export
-//   350  obs/trace-recorder        trace event buffer
 //   360  obs/ledger                run-ledger line buffer
 //   370  obs/timeseries            sampled-series buffer
 //   900  util/logger               terminal leaf: any subsystem may log
@@ -125,10 +124,9 @@ inline constexpr int kDriverJob = 220;
 inline constexpr int kLeasePool = 230;
 inline constexpr int kParallelForErrors = 250;
 inline constexpr int kMetricsRegistry = 300;
-inline constexpr int kTraceRecorder = 350;
-// Telemetry sinks (run ledger, time-series recorder): terminal like the
-// trace recorder — emitters may hold subsystem locks while appending, but
-// the recorders never call out while holding their own.
+// Telemetry sinks (run ledger, time-series recorder): terminal — emitters
+// may hold subsystem locks while appending, but the recorders never call
+// out while holding their own.
 inline constexpr int kLedger = 360;
 inline constexpr int kTimeSeries = 370;
 inline constexpr int kLogger = 900;

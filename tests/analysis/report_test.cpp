@@ -14,6 +14,7 @@
 #include "core/stellaris_trainer.hpp"
 #include "obs/obs.hpp"
 #include "serve/serve_engine.hpp"
+#include "util/error.hpp"
 
 namespace stellaris::report {
 namespace {
@@ -201,6 +202,36 @@ TEST(Report, MalformedLedgerThrowsWithLineNumber) {
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+TEST(Report, HostileIntegerFieldsThrowNamingLineAndKey) {
+  // Every integer the analyzer reads, in the event that carries it: a
+  // negative, huge, fractional or string id is an error, never a cast.
+  const std::vector<std::pair<std::string, std::string>> positions = {
+      {R"({"ev":"round","t":1)", "run"},
+      {R"({"ev":"invoke","run":1,"t":1)", "lid"},
+      {R"({"ev":"agg_end","run":1,"t":1)", "version"},
+      {R"({"ev":"serve_batch","run":1,"t":1)", "n"},
+      {R"({"ev":"serve_start","run":1,"t":1)", "workers"},
+      {R"({"ev":"serve_scale","run":1,"t":1)", "from"},
+      {R"({"ev":"serve_scale","run":1,"t":1)", "to"},
+      {R"({"ev":"restore","run":1,"t":1)", "dropped"},
+  };
+  for (const auto& [prefix, key] : positions) {
+    for (const char* bad : {"-1", "1e300", "2.5", "\"x\""}) {
+      const std::vector<std::string> lines = {
+          R"({"ev":"run_begin","run":1,"t":0})",
+          prefix + ",\"" + key + "\":" + bad + "}"};
+      try {
+        analyze_ledger(lines);
+        ADD_FAILURE() << "no throw for " << key << "=" << bad;
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("\"" + key + "\""), std::string::npos) << what;
+      }
+    }
   }
 }
 

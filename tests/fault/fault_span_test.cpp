@@ -1,7 +1,8 @@
-// Telemetry under fault injection (satellite of the run-telemetry PR):
-// invocations killed by a crash or a spot reclamation must still settle
-// their trace spans and ledger events — ending at the kill time, never at
-// the originally predicted completion, and never left dangling open.
+// Telemetry under fault injection: invocations killed by a crash or a spot
+// reclamation must still settle their ledger events — ending at the kill
+// time, never at the originally predicted completion, and never left
+// dangling open. The spans are checked on the Chrome trace rendered from
+// the captured ledger (tools/report/chrome_trace.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "fault/fault_injector.hpp"
 #include "obs/obs.hpp"
 #include "serverless/platform.hpp"
+#include "tools/report/chrome_trace.hpp"
 #include "util/mini_json.hpp"
 
 namespace stellaris::serverless {
@@ -38,23 +40,17 @@ struct Fixture {
   }
 };
 
-/// RAII trace + ledger capture for one test body.
+/// RAII ledger capture for one test body.
 struct Capture {
-  obs::TraceRecorder trace;
   obs::LedgerRecorder ledger;
-  Capture() {
-    obs::install_trace(&trace);
-    obs::install_ledger(&ledger);
-  }
-  ~Capture() {
-    obs::install_trace(nullptr);
-    obs::install_ledger(nullptr);
-  }
+  Capture() { obs::install_ledger(&ledger); }
+  ~Capture() { obs::install_ledger(nullptr); }
 };
 
-minijson::Value trace_events(const obs::TraceRecorder& rec) {
+/// The trace events rendered from the captured ledger.
+minijson::Value trace_events(const obs::LedgerRecorder& ledger) {
   std::ostringstream os;
-  rec.write_json(os);
+  report::write_chrome_trace(ledger.lines(), os);
   minijson::Value root = minijson::parse(os.str());
   return root.at("traceEvents");
 }
@@ -89,7 +85,7 @@ TEST(FaultSpan, ReclaimedInvocationSpanEndsAtReclaim) {
   EXPECT_EQ(result.error, fault::ErrorKind::kVmReclaim);
   // The span exists (not dangling) and ends exactly at the kill, not at
   // the ~10 s the invocation would have taken.
-  const auto evs = trace_events(cap.trace);
+  const auto evs = trace_events(cap.ledger);
   const auto spans = spans_of(evs);
   ASSERT_EQ(spans.size(), 1u);
   const auto& span = *spans[0];
@@ -142,7 +138,7 @@ TEST(FaultSpan, CrashedInvocationSpanEndsAtCrash) {
   f.engine.run();
 
   ASSERT_FALSE(result.ok);
-  const auto evs = trace_events(cap.trace);
+  const auto evs = trace_events(cap.ledger);
   const auto spans = spans_of(evs);
   ASSERT_EQ(spans.size(), 1u);
   // 0.1 µs tolerance: ts/dur are rendered at %.9g microseconds.
@@ -152,10 +148,10 @@ TEST(FaultSpan, CrashedInvocationSpanEndsAtCrash) {
 }
 
 // fig_faults-style end-to-end regression: a full faulty training run (random
-// crashes + stragglers + a scripted mid-run reclaim) must leave the trace
-// and ledger settle-consistent — every span closed within the run, no two
-// invocation spans overlapping on one container track, and exactly one
-// ledger invoke event per trace invocation span.
+// crashes + stragglers + a scripted mid-run reclaim) must leave the ledger
+// and its derived trace settle-consistent — every span closed within the
+// run, no two invocation spans overlapping on one container track, and
+// exactly one ledger invoke event per trace invocation span.
 TEST(FaultSpan, FaultyTrainingRunLeavesNoDanglingSpans) {
   core::TrainConfig cfg;
   cfg.env_name = "Hopper";
@@ -175,7 +171,7 @@ TEST(FaultSpan, FaultyTrainingRunLeavesNoDanglingSpans) {
   const auto result = core::run_training(cfg);
   ASSERT_GT(result.faults.failed_invocations, 0u);
 
-  const auto evs = trace_events(cap.trace);
+  const auto evs = trace_events(cap.ledger);
   // Group invocation spans (category actor/learner/parameter) by track.
   struct Span {
     double t0, t1;

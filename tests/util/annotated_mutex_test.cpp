@@ -103,7 +103,6 @@ TEST(AnnotatedMutex, HierarchyRanksAreStrictlyOrdered) {
   EXPECT_LT(lock_rank::kKernelPool, lock_rank::kThreadPool);
   EXPECT_LT(lock_rank::kThreadPool, lock_rank::kParallelForErrors);
   EXPECT_LT(lock_rank::kMetricsRegistry, lock_rank::kLogger);
-  EXPECT_LT(lock_rank::kTraceRecorder, lock_rank::kLogger);
 }
 
 // --- Lock-order checker ----------------------------------------------------

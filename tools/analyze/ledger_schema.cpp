@@ -8,12 +8,16 @@
 //     declares `ledger-schema:ignore <ev>` with a rationale;
 //   * a parser branch for an event nothing emits is dead code — finding
 //     at the branch;
-//   * a parser key (`num_or(ev, "k", ...)`, `str_or`, `ev.has("k")`,
-//     `ev.at("k")`) that no emit site of that event ever sets reads a
-//     field that cannot exist — finding at the branch;
+//   * a parser key (`num_or(ev, "k", ...)`, `str_or`, `id_or`,
+//     `ev.has("k")`, `ev.at("k")`) that no emit site of that event ever
+//     sets reads a field that cannot exist — finding at the branch;
 //   * a key the parser reads unconditionally (`ev.at("k")` with no
 //     `ev.has("k")` guard in the branch) must be present at every emit
 //     site of the event — finding at any site that omits it.
+//
+// The Chrome-trace view (tools/report/chrome_trace.cpp) reads the same
+// lines with the same dispatch idiom. It renders only some events, so it
+// gets the stale-branch and unknown-key checks but not the unparsed one.
 //
 // Field sets are unions per emit site (conditionally-added fields count as
 // present), so the unconditional-key check is deliberately lenient; the
@@ -120,8 +124,9 @@ std::map<std::string, ParserBranch> extract_branches(const SourceFile& parser) {
     branch.line = toks[i + 3].line;
     std::set<std::string> has_keys, at_keys;
     for (std::size_t k = j; k + 4 < end; ++k) {
-      // num_or(ev, "k", ...) / str_or(ev, "k", ...)
-      if ((ident_is(toks[k], "num_or") || ident_is(toks[k], "str_or")) &&
+      // num_or(ev, "k", ...) / str_or(ev, "k", ...) / id_or(ev, "k", ...)
+      if ((ident_is(toks[k], "num_or") || ident_is(toks[k], "str_or") ||
+           ident_is(toks[k], "id_or")) &&
           punct_is(toks[k + 1], "(") &&
           toks[k + 2].kind == Token::Kind::kIdent &&
           punct_is(toks[k + 3], ",") &&
@@ -152,11 +157,16 @@ std::map<std::string, ParserBranch> extract_branches(const SourceFile& parser) {
 void check_ledger(const Project& project, std::vector<Finding>& out) {
   const auto sites = extract_emit_sites(project);
 
+  const auto ends_with = [](const std::string& s, const std::string& tail) {
+    return s.size() >= tail.size() &&
+           s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  };
   const SourceFile* parser = nullptr;
-  for (const auto& file : project.files)
-    if (file.rel.size() >= 19 &&
-        file.rel.compare(file.rel.size() - 19, 19, "ledger_analysis.cpp") == 0)
-      parser = &file;
+  const SourceFile* view = nullptr;
+  for (const auto& file : project.files) {
+    if (ends_with(file.rel, "ledger_analysis.cpp")) parser = &file;
+    if (ends_with(file.rel, "chrome_trace.cpp")) view = &file;
+  }
   if (!parser) {
     if (!sites.empty())
       out.push_back({"ledger-schema", sites.front().file->rel,
@@ -205,24 +215,32 @@ void check_ledger(const Project& project, std::vector<Finding>& out) {
                   "\" which the parser reads unconditionally (ev.at)"});
   }
 
-  for (const auto& [event, branch] : branches) {
-    if (parser->suppressed("ledger-schema", branch.line)) continue;
-    if (!emitted_events.count(event)) {
-      if (!ignored.count(event))
-        push({"ledger-schema", parser->rel, branch.line, "stale:" + event,
-              "parser branch for \"" + event +
-                  "\" matches an event nothing emits — dead code or a "
-                  "renamed event"});
-      continue;
+  // Every branch of a reader must match an emitted event and read only
+  // fields some emit site sets.
+  const auto check_reads = [&](const SourceFile& reader,
+                               const std::map<std::string, ParserBranch>&
+                                   reader_branches) {
+    for (const auto& [event, branch] : reader_branches) {
+      if (reader.suppressed("ledger-schema", branch.line)) continue;
+      if (!emitted_events.count(event)) {
+        if (!ignored.count(event))
+          push({"ledger-schema", reader.rel, branch.line, "stale:" + event,
+                "parser branch for \"" + event +
+                    "\" matches an event nothing emits — dead code or a "
+                    "renamed event"});
+        continue;
+      }
+      const auto& fields = emitted_fields[event];
+      for (const auto& key : branch.accessed)
+        if (!fields.count(key) && !implicit_fields().count(key))
+          push({"ledger-schema", reader.rel, branch.line,
+                "unknown-key:" + event + "." + key,
+                "parser reads field \"" + key + "\" of event \"" + event +
+                    "\" but no emit site ever sets it"});
     }
-    const auto& fields = emitted_fields[event];
-    for (const auto& key : branch.accessed)
-      if (!fields.count(key) && !implicit_fields().count(key))
-        push({"ledger-schema", parser->rel, branch.line,
-              "unknown-key:" + event + "." + key,
-              "parser reads field \"" + key + "\" of event \"" + event +
-                  "\" but no emit site ever sets it"});
-  }
+  };
+  check_reads(*parser, branches);
+  if (view) check_reads(*view, extract_branches(*view));
 }
 
 }  // namespace stellaris::analyze

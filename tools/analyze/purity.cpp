@@ -14,15 +14,17 @@
 //     cross-invocation state (DESIGN.md §17). Passing `rng_` by reference
 //     into a caller-Rng overload (`rng_` followed by `)` or `,`) is the
 //     sanctioned delegation and does not match the rule;
-//   * emit telemetry (`obs::ledger()`, `obs::trace()`, `obs::metrics()`,
-//     `obs::timeseries()`, `LedgerEvent`): emission order would depend on
-//     worker interleaving — telemetry belongs in the merge;
+//   * emit telemetry (`obs::ledger()`, `obs::metrics()`,
+//     `obs::timeseries()`, `LedgerEvent`, or a reintroduced `obs::` trace
+//     slot): emission order would depend on worker interleaving —
+//     telemetry belongs in the merge;
 //   * reach back into engine-thread state (`cache_`, `platform_`): cache
 //     reads happen at capture time, writes in the merge.
 //
 // Reachability is by unqualified call name over the project-wide function
 // index — overloads are merged, which errs toward more findings; the
-// sim layer itself (driver machinery) is excluded from traversal. Findings
+// sim layer itself (driver machinery) and everything outside src/ are
+// excluded from traversal. Findings
 // are suppressed per line with `analyze:driver-purity-ok`.
 #include "analyzer.hpp"
 #include "functions.hpp"
@@ -121,7 +123,10 @@ void traverse_calls(Ctx& ctx, const SourceFile& file, std::size_t begin,
       const FuncDef& def = it->second;
       // The driver/engine machinery is the impure substrate the bodies run
       // on; traversing into it would flag the infrastructure, not misuse.
-      if (def.file->rel.rfind("src/sim/", 0) == 0) continue;
+      // Code outside src/ (tools, benches) is never linked into a body.
+      if (def.file->rel.rfind("src/sim/", 0) == 0 ||
+          def.file->rel.rfind("src/", 0) != 0)
+        continue;
       const std::string key = def.file->rel + ":" + def.name + ":" +
                               std::to_string(def.line);
       if (!ctx.visited.insert(key).second) continue;
@@ -139,7 +144,8 @@ void check_range(Ctx& ctx, const SourceFile& file, std::size_t begin,
   for (std::size_t i = begin; i < end && i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != Token::Kind::kIdent) continue;
-    // obs::ledger() / obs::trace() / obs::metrics() / obs::timeseries().
+    // obs::ledger() / obs::metrics() / obs::timeseries(), and the retired
+    // trace slot (see forbidden_obs).
     if (t.text == "obs" && i + 2 < end && punct_is(toks[i + 1], "::") &&
         toks[i + 2].kind == Token::Kind::kIdent &&
         forbidden_obs().count(toks[i + 2].text)) {

@@ -15,6 +15,8 @@ void emit_all(double t, bool cond, Sink* led) {
   if (cond) ev.raw("ys", "[1,2]");
   led->append(std::move(ev).finish());
 
+  obs::LedgerEvent("gamma", t).field("n", 3).finish();
+
   // Passing: unparsed but declared `ledger-schema:ignore` in the parser.
   obs::LedgerEvent("meta", t).field("note", "config echo").finish();
 

@@ -1,5 +1,5 @@
 // Corpus stand-in for the report parser: the same `type == "..."` dispatch
-// chain and num_or/str_or/has/at access idioms the ledger-schema pass
+// chain and num_or/str_or/id_or/has/at access idioms the ledger-schema pass
 // rebuilds the parser-side contract from.
 #include "util/helper.hpp"
 
@@ -17,6 +17,10 @@ void analyze_one(const Value& ev) {
   // expect: ledger-schema
   } else if (type == "gone") {
     str_or(ev, "who", "");              // branch for an event nothing emits
+  // expect: ledger-schema
+  } else if (type == "gamma") {
+    id_or(ev, "n", 0);                  // set by the emit site
+    id_or(ev, "phantom", 0);            // checked integer nothing sets
   }
   // ledger-schema:ignore meta — run-config echo for humans reading the raw
   // JSONL; the report deliberately aggregates nothing from it.

@@ -7,15 +7,12 @@
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/ledger.hpp"
-#include "util/mini_json.hpp"
+#include "util/error.hpp"
 #include "util/percentile.hpp"
 
 namespace stellaris::report {
-
-namespace {
 
 using minijson::Value;
 
@@ -31,6 +28,62 @@ std::string str_or(const Value& obj, const std::string& key,
   const Value& v = obj.at(key);
   return v.kind == Value::Kind::kString ? v.str : fallback;
 }
+
+std::uint64_t id_or(const Value& obj, const std::string& key,
+                    std::uint64_t fallback) {
+  if (!obj.has(key)) return fallback;
+  // 2^53: every integer up to here is exact in a double, and the cast
+  // below is defined for every value that passes.
+  constexpr double kMaxExact = 9007199254740992.0;
+  const Value& v = obj.at(key);
+  if (v.kind != Value::Kind::kNumber || !std::isfinite(v.num) ||
+      v.num < 0.0 || v.num > kMaxExact || v.num != std::floor(v.num))
+    throw Error("field \"" + key + "\" is not an integer in [0, 2^53]");
+  return static_cast<std::uint64_t>(v.num);
+}
+
+void for_each_event(const std::vector<std::string>& lines,
+                    const std::function<void(const LedgerLine&)>& fn) {
+  LedgerLine e;
+  for (const auto& line : lines) {
+    ++e.lineno;
+    if (line.find_first_not_of(" \t\r\n") == std::string::npos) continue;
+    try {
+      e.ev = minijson::parse(line);
+      if (!e.ev.is_object() || !e.ev.has("ev")) continue;
+      e.type = str_or(e.ev, "ev", "");
+      e.run = id_or(e.ev, "run", 0);
+      e.t = num_or(e.ev, "t", 0.0);
+      fn(e);
+    } catch (const std::exception& ex) {
+      throw Error("ledger line " + std::to_string(e.lineno) + ": " +
+                  ex.what());
+    }
+  }
+}
+
+bool add_queue_delta(const LedgerLine& e, QueueDeltas& d) {
+  const Value& ev = e.ev;
+  if (e.type == "traj") {
+    d.pending_traj[e.t] += 1;
+  } else if (e.type == "learner_claim") {
+    if (ev.has("trajs"))
+      d.pending_traj[e.t] -= static_cast<long>(ev.at("trajs").arr.size());
+  } else if (e.type == "traj_requeue") {
+    if (ev.has("trajs"))
+      d.pending_traj[e.t] += static_cast<long>(ev.at("trajs").arr.size());
+  } else if (e.type == "grad") {
+    d.grad_queue[e.t] += 1;
+  } else if (e.type == "agg_begin") {
+    if (ev.has("group"))
+      d.grad_queue[e.t] -= static_cast<long>(ev.at("group").arr.size());
+  } else {
+    return false;
+  }
+  return true;
+}
+
+namespace {
 
 // Nearest-rank quantiles come from the shared util/percentile.hpp helper
 // (the same definition the serving tier's SLO monitor uses), so offline
@@ -70,10 +123,7 @@ struct RunAccumulator {
   double max_t = 0.0;
   double run_end_t = -1.0;
   std::vector<InvokeRecord> invokes;
-  // Sweep deltas: time -> count change, merged per timestamp. std::map
-  // keeps boundaries sorted.
-  std::map<double, long> pending_traj_delta;
-  std::map<double, long> grad_queue_delta;
+  QueueDeltas queues;
   std::map<std::uint64_t, std::vector<double>> staleness_by_version;
   std::uint64_t retries = 0;
   std::uint64_t giveups = 0;
@@ -119,8 +169,8 @@ StageBreakdown sweep_stages(const RunAccumulator& acc, double t_end) {
   add_bounds(actor_d);
   add_bounds(learner_d);
   add_bounds(param_d);
-  add_bounds(acc.pending_traj_delta);
-  add_bounds(acc.grad_queue_delta);
+  add_bounds(acc.queues.pending_traj);
+  add_bounds(acc.queues.grad_queue);
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
@@ -132,8 +182,8 @@ StageBreakdown sweep_stages(const RunAccumulator& acc, double t_end) {
     if (it != d.end()) count += it->second;
   };
   // Mutable copies for find() — the maps are small relative to the sweep.
-  std::map<double, long> traj_d = acc.pending_traj_delta;
-  std::map<double, long> grad_d = acc.grad_queue_delta;
+  std::map<double, long> traj_d = acc.queues.pending_traj;
+  std::map<double, long> grad_d = acc.queues.grad_queue;
   for (std::size_t i = 0; i < bounds.size(); ++i) {
     const double t = bounds[i];
     apply(actor_d, t, actors);
@@ -289,32 +339,20 @@ std::string pct(double part, double total) {
 std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
                                       const AnalysisOptions& opts) {
   std::map<std::uint64_t, RunAccumulator> runs;
-  std::size_t lineno = 0;
-  for (const auto& line : lines) {
-    ++lineno;
-    if (line.empty() ||
-        line.find_first_not_of(" \t\r\n") == std::string::npos)
-      continue;
-    Value ev;
-    try {
-      ev = minijson::parse(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("ledger line " + std::to_string(lineno) +
-                               ": " + e.what());
-    }
-    if (!ev.is_object() || !ev.has("ev")) continue;
-    const std::string type = str_or(ev, "ev", "");
-    const auto run = static_cast<std::uint64_t>(num_or(ev, "run", 0));
-    const double t = num_or(ev, "t", 0.0);
-    RunAccumulator& acc = runs[run];
+  for_each_event(lines, [&](const LedgerLine& line) {
+    const Value& ev = line.ev;
+    const std::string& type = line.type;
+    const double t = line.t;
+    RunAccumulator& acc = runs[line.run];
     ++acc.events;
     acc.max_t = std::max(acc.max_t, t);
+    if (add_queue_delta(line, acc.queues)) return;
 
     if (type == "run_end") {
       acc.run_end_t = t;
     } else if (type == "invoke") {
       InvokeRecord inv;
-      inv.lid = static_cast<std::uint64_t>(num_or(ev, "lid", 0));
+      inv.lid = id_or(ev, "lid", 0);
       inv.kind = str_or(ev, "kind", "");
       inv.submit = num_or(ev, "submit", t);
       inv.end = t;
@@ -325,26 +363,8 @@ std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
       inv.error = str_or(ev, "error", "");
       inv.straggler_mult = num_or(ev, "straggler_mult", 1.0);
       acc.invokes.push_back(std::move(inv));
-    } else if (type == "traj") {
-      acc.pending_traj_delta[t] += 1;
-    } else if (type == "learner_claim") {
-      if (ev.has("trajs"))
-        acc.pending_traj_delta[t] -=
-            static_cast<long>(ev.at("trajs").arr.size());
-    } else if (type == "traj_requeue") {
-      if (ev.has("trajs"))
-        acc.pending_traj_delta[t] +=
-            static_cast<long>(ev.at("trajs").arr.size());
-    } else if (type == "grad") {
-      acc.grad_queue_delta[t] += 1;
-    } else if (type == "agg_begin") {
-      if (ev.has("group"))
-        acc.grad_queue_delta[t] -=
-            static_cast<long>(ev.at("group").arr.size());
     } else if (type == "agg_end") {
-      const auto version =
-          static_cast<std::uint64_t>(num_or(ev, "version", 0));
-      auto& samples = acc.staleness_by_version[version];
+      auto& samples = acc.staleness_by_version[id_or(ev, "version", 0)];
       if (ev.has("staleness"))
         for (const auto& v : ev.at("staleness").arr)
           samples.push_back(v.number());
@@ -352,7 +372,7 @@ std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
       ServeTenantAcc& st = acc.serve_tenants[str_or(ev, "tenant", "")];
       ++st.batches;
       st.cost_usd += num_or(ev, "cost_usd", 0.0);
-      const auto n = static_cast<std::uint64_t>(num_or(ev, "n", 0));
+      const std::uint64_t n = id_or(ev, "n", 0);
       const bool ok = !ev.has("ok") || ev.at("ok").b;
       if (ok) {
         st.completed += n;
@@ -366,17 +386,15 @@ std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
       ++acc.serve_tenants[str_or(ev, "tenant", "")].rejected;
     } else if (type == "serve_start") {
       acc.serve_peak_workers =
-          std::max(acc.serve_peak_workers,
-                   static_cast<std::uint64_t>(num_or(ev, "workers", 0)));
+          std::max(acc.serve_peak_workers, id_or(ev, "workers", 0));
     } else if (type == "serve_scale") {
-      const double from = num_or(ev, "from", 0.0);
-      const double to = num_or(ev, "to", 0.0);
+      const std::uint64_t from = id_or(ev, "from", 0);
+      const std::uint64_t to = id_or(ev, "to", 0);
       if (to > from)
         ++acc.serve_scale_ups;
       else if (to < from)
         ++acc.serve_scale_downs;
-      acc.serve_peak_workers = std::max(
-          acc.serve_peak_workers, static_cast<std::uint64_t>(to));
+      acc.serve_peak_workers = std::max(acc.serve_peak_workers, to);
     } else if (type == "serve_rollout") {
       ServeTenantAcc& st = acc.serve_tenants[str_or(ev, "tenant", "")];
       const std::string action = str_or(ev, "action", "");
@@ -398,15 +416,14 @@ std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
       ++acc.checkpoints;
     } else if (type == "restore") {
       ++acc.restores;
-      acc.dropped_gradients +=
-          static_cast<std::uint64_t>(num_or(ev, "dropped", 0));
+      acc.dropped_gradients += id_or(ev, "dropped", 0);
     } else if (type == "fault_injected") {
       ++acc.faults_injected;
     }
     // ledger-schema:ignore run_begin — run metadata (env/algo/config echo)
     // for humans reading the raw JSONL; the report aggregates nothing from
     // it, and stellaris_analyze's ledger-schema pass knows that on purpose.
-  }
+  });
 
   std::vector<RunReport> reports;
   reports.reserve(runs.size());
@@ -415,14 +432,13 @@ std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
   return reports;
 }
 
-std::vector<RunReport> analyze_ledger_file(const std::string& path,
-                                           const AnalysisOptions& opts) {
+std::vector<std::string> read_ledger_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open ledger: " + path);
+  if (!in) throw Error("cannot open ledger: " + path);
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
-  return analyze_ledger(lines, opts);
+  return lines;
 }
 
 void print_report(std::ostream& os, const RunReport& r) {

@@ -26,11 +26,61 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "util/mini_json.hpp"
+
 namespace stellaris::report {
+
+// ---- Shared reading layer ---------------------------------------------------
+// Every ledger consumer in tools/report/ (this analyzer and the Chrome-trace
+// renderer, chrome_trace.hpp) reads lines, fields and queue depths through
+// these, so the two views of a ledger cannot disagree on what a line means.
+
+/// One parsed ledger event.
+struct LedgerLine {
+  std::size_t lineno = 0;  ///< 1-based line number in the input
+  std::string type;        ///< the `ev` tag
+  std::uint64_t run = 0;   ///< the `run` id
+  double t = 0.0;          ///< virtual seconds
+  minijson::Value ev;      ///< the whole object
+};
+
+/// Calls `fn` on every event line, in order. Blank lines, and JSON values
+/// that are not objects with an `ev` tag, are skipped. Throws
+/// stellaris::Error naming the line on malformed JSON, on a bad `run` id,
+/// and on any error `fn` throws for that line.
+void for_each_event(const std::vector<std::string>& lines,
+                    const std::function<void(const LedgerLine&)>& fn);
+
+/// Field reads that fall back when the key is absent or has another type.
+double num_or(const minijson::Value& obj, const std::string& key,
+              double fallback);
+std::string str_or(const minijson::Value& obj, const std::string& key,
+                   const std::string& fallback);
+/// Checked integer field (ids, counts, sizes): `fallback` when absent;
+/// otherwise the value must be a finite, non-negative integer ≤ 2^53, or
+/// this throws stellaris::Error naming the key.
+std::uint64_t id_or(const minijson::Value& obj, const std::string& key,
+                    std::uint64_t fallback);
+
+/// Queue-depth changes over virtual time: timestamp → net count change,
+/// merged per timestamp (std::map keeps the boundaries sorted).
+struct QueueDeltas {
+  std::map<double, long> pending_traj;  ///< published, unclaimed trajectories
+  std::map<double, long> grad_queue;    ///< gradients awaiting aggregation
+};
+
+/// Folds `e` into `d` when it changes a queue depth (`traj`,
+/// `learner_claim`, `traj_requeue`, `grad`, `agg_begin`); returns whether
+/// it did.
+bool add_queue_delta(const LedgerLine& e, QueueDeltas& d);
+
+// ---- Run report -------------------------------------------------------------
 
 /// Virtual-time occupancy per pipeline stage; fields sum to `total`.
 struct StageBreakdown {
@@ -136,13 +186,14 @@ struct AnalysisOptions {
 
 /// Analyze ledger lines (one JSON object per line; blank lines ignored).
 /// Returns one report per distinct `run` id, in ascending run order.
-/// Throws std::runtime_error on malformed JSON.
+/// Throws stellaris::Error (a std::runtime_error) naming the line on
+/// malformed JSON or a bad integer field.
 std::vector<RunReport> analyze_ledger(const std::vector<std::string>& lines,
                                       const AnalysisOptions& opts = {});
 
-/// Read a JSONL ledger file and analyze it. Throws on I/O or parse errors.
-std::vector<RunReport> analyze_ledger_file(const std::string& path,
-                                           const AnalysisOptions& opts = {});
+/// The lines of a JSONL ledger file. Throws stellaris::Error if the file
+/// cannot be opened.
+std::vector<std::string> read_ledger_file(const std::string& path);
 
 /// Human-readable report (the stellaris_report CLI output).
 void print_report(std::ostream& os, const RunReport& report);
