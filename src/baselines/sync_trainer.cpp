@@ -12,7 +12,6 @@
 #include "rl/actor.hpp"
 #include "rl/vec_actor.hpp"
 #include "sim/driver.hpp"
-#include "tensor/kernel_config.hpp"
 #include "util/error.hpp"
 
 namespace stellaris::baselines {
@@ -89,8 +88,6 @@ core::TrainResult run_sync_training(const SyncConfig& sync_cfg) {
   // RNG draw, so every stream sees the serial draw sequence.
   auto driver = sim::make_driver(cfg.driver,
                                  sim::resolve_driver_threads(cfg.driver_threads));
-  if (driver->worker_threads() > 0)
-    ops::apply_driver_thread_budget(driver->worker_threads());
   core::WorkerContextPool ctx_pool(env_spec, net_spec, cfg.seed ^ 0x66ULL);
 
   // Fault model for the barrier baselines: no event loop here, so the same

@@ -9,7 +9,6 @@
 #include "rl/impact.hpp"
 #include "rl/ppo.hpp"
 #include "rl/sample_batch.hpp"
-#include "tensor/kernel_config.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -125,8 +124,6 @@ StellarisTrainer::StellarisTrainer(TrainConfig cfg)
   driver_ = sim::make_driver(cfg_.driver,
                              sim::resolve_driver_threads(cfg_.driver_threads));
   engine_.set_driver(driver_.get());
-  if (driver_->worker_threads() > 0)
-    ops::apply_driver_thread_budget(driver_->worker_threads());
 
   // Round-0 calibration window: one gradient from (roughly) each actor wave
   // aggregated unconditionally to measure δ_max (§V-C).

@@ -1,6 +1,8 @@
 #include "rl/sample_batch.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -79,6 +81,18 @@ void SampleBatch::deserialize_into(ByteSpan bytes, SampleBatch& out) {
   auto get_tensor = [&](Tensor& t) {
     r.get_u64_vector_into(dims);
     shape.assign(dims.begin(), dims.end());
+    // The bytes are untrusted: the element count must not wrap and its
+    // data must fit in what is left, before anything is sized from it.
+    std::size_t numel = dims.empty() ? 0 : 1;
+    for (const std::uint64_t d : dims) {
+      if (d != 0 && numel > std::numeric_limits<std::size_t>::max() / d)
+        throw Error("SampleBatch tensor shape overflows: " + shape_str(shape));
+      numel *= d;
+    }
+    if (numel > r.remaining() / sizeof(float))
+      throw Error("SampleBatch tensor shape " + shape_str(shape) +
+                  " exceeds the " + std::to_string(r.remaining()) +
+                  " bytes left");
     // ensure_shape reuses t's buffer capacity; the vector read then lands
     // directly in the tensor's storage (one memcpy, no allocation once the
     // destination batch has seen this shape).
@@ -102,11 +116,21 @@ void SampleBatch::deserialize_into(ByteSpan bytes, SampleBatch& out) {
   {
     const auto seg_starts = r.get_u64_vector();
     const auto seg_boot = r.get_f32_vector();
+    if (seg_starts.size() != seg_boot.size())
+      throw Error("SampleBatch segment starts/bootstraps length mismatch: " +
+                  std::to_string(seg_starts.size()) + " vs " +
+                  std::to_string(seg_boot.size()));
     out.segments.clear();
     out.segments.reserve(seg_starts.size());
-    for (std::size_t i = 0; i < seg_starts.size(); ++i)
+    for (std::size_t i = 0; i < seg_starts.size(); ++i) {
+      const std::uint64_t prev = i == 0 ? 0 : seg_starts[i - 1];
+      if (seg_starts[i] < prev || seg_starts[i] > out.size())
+        throw Error("SampleBatch segment start " +
+                    std::to_string(seg_starts[i]) + " out of order or past " +
+                    std::to_string(out.size()) + " steps");
       out.segments.push_back(
           {static_cast<std::size_t>(seg_starts[i]), seg_boot[i]});
+    }
   }
   out.policy_version = r.get_u64();
   get_tensor(out.advantages);

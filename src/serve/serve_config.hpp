@@ -112,9 +112,6 @@ struct ServeConfig {
   std::uint64_t seed = 42;
   sim::DriverKind driver = sim::DriverKind::kVirtual;
   std::size_t driver_threads = 0;
-  /// Injectable hardware-thread count for the kernel thread-budget clamp
-  /// (ops::apply_driver_thread_budget); 0 queries the real machine.
-  std::size_t hardware_threads = 0;
 };
 
 }  // namespace stellaris::serve

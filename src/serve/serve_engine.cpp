@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "serverless/cluster.hpp"
-#include "tensor/kernel_config.hpp"
 #include "tensor/tensor.hpp"
 #include "util/error.hpp"
 #include "util/percentile.hpp"
@@ -409,9 +408,6 @@ ServeResult ServeEngine::run() {
   STELLARIS_CHECK_MSG(!ran_, "ServeEngine::run() may be called once");
   ran_ = true;
   obs::begin_run();
-  // Concurrent bodies each run kernels; keep the product under the machine.
-  ops::apply_driver_thread_budget(driver_->worker_threads(),
-                                  cfg_.hardware_threads);
   pool_.prewarm(cfg_.autoscale.min_workers, 0.0);
   if (auto* led = obs::ledger())
     led->append(obs::LedgerEvent("serve_start", 0.0)

@@ -1,12 +1,11 @@
 // ThreadPoolDriver: the `--driver=concurrent` execution driver.
 //
-// Workers are raw std::thread rather than util::ThreadPool on purpose: a
-// driver body may itself dispatch kernel work onto the (separate) kernel
-// ThreadPool, and a body legitimately BLOCKS mid-task waiting for its
-// `after` predecessor — both patterns ThreadPool::parallel_for forbids.
-// The pool here owns the full lifecycle ThreadPool would otherwise give
-// us: lazy spawn up to the cap, exception capture per job (in JobState),
-// and a drain/join teardown. See DESIGN.md §14.
+// These workers are the only threads the library starts: kernels run on
+// the calling thread, so parallelism comes from bodies running here. A
+// body legitimately BLOCKS mid-task waiting for its `after` predecessor.
+// The pool owns the whole lifecycle: lazy spawn up to the cap, exception
+// capture per job (in JobState), and a drain/join teardown. See DESIGN.md
+// §14.
 //
 // Deadlock-freedom: jobs are dequeued in submit order, and a job's `after`
 // predecessor is always submitted strictly earlier — so by the time any
@@ -102,8 +101,8 @@ class ThreadPoolDriver final : public Driver {
   std::size_t outstanding_ GUARDED_BY(mu_) = 0;
   std::size_t idle_workers_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
-  // Raw threads on purpose: driver workers must block on job dependencies,
-  // which ThreadPool tasks may not do (see header comment).
+  // Raw threads on purpose: this pool is the one owner of threads (see
+  // header comment).
   std::vector<std::thread> workers_ GUARDED_BY(mu_);  // analyze:raw-thread-ok
 };
 

@@ -4,16 +4,11 @@
 // autovectorizer, in a value-returning and a buffer-reusing `_into` form.
 // Arithmetic per element is kept identical to the seed kernels (now under
 // ops::reference) so the rewrite is bit-transparent to the learner.
-// tanh_forward — the one transcendental-bound kernel — optionally fans out
-// over the kernel pool in contiguous chunks (elementwise, so chunking can
-// never change results).
 #include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "tensor/kernel_config.hpp"
 #include "tensor/ops.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stellaris::ops {
 namespace {
@@ -34,9 +29,6 @@ void count_eltwise(std::size_t n) {
   eltwise_calls().add(1);
   eltwise_elems().add(n);
 }
-
-// tanh costs ~100ns/element; below this the fork/join handshake dominates.
-constexpr std::size_t kTanhParallelMinElems = 1 << 15;
 
 }  // namespace
 
@@ -77,17 +69,7 @@ void tanh_forward_into(Tensor& y, const Tensor& x) {
   const float* px = x.data().data();
   float* py = y.data().data();
   const std::size_t n = x.numel();
-  const std::size_t threads = kernel_threads();
-  if (threads > 1 && n >= kTanhParallelMinElems) {
-    const std::size_t chunk = (n + threads - 1) / threads;
-    const std::size_t chunks = (n + chunk - 1) / chunk;
-    detail::kernel_pool(threads).parallel_for(chunks, [&](std::size_t c) {
-      const std::size_t lo = c * chunk, hi = std::min(n, lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) py[i] = std::tanh(px[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) py[i] = std::tanh(px[i]);
-  }
+  for (std::size_t i = 0; i < n; ++i) py[i] = std::tanh(px[i]);
 }
 
 Tensor tanh_forward(const Tensor& x) {

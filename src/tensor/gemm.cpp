@@ -1,7 +1,7 @@
 // Cache-blocked, register-tiled GEMM kernels.
 //
 // Scheme (see DESIGN.md "Compute kernels"):
-//   * The output C is tiled over i (rows, panels of kMC) and j (columns,
+//   * The output C is tiled over i (rows, kMR at a time) and j (columns,
 //     panels of kNC); each panel is walked by an MR×NR register micro-kernel
 //     that keeps a block of C in accumulator registers for the entire k
 //     sweep — one store per output element instead of one load+store per
@@ -13,16 +13,14 @@
 //     k. The narrow path below cuts k into kKC chunks, and every chunk after
 //     the first reloads the partial sum it stored in C and keeps adding in
 //     k order: a float store and reload is exact, so the chain is unchanged.
-//   * Threading splits i into panels of kMC rows (ThreadPool::parallel_for).
-//     Panels write disjoint C rows and each element is still accumulated by
-//     exactly one task in the same order, so any thread count produces the
-//     same bits. Gated by kernel_parallel_min_flops() and off by default
-//     (kernel_threads() == 1).
+//   * Kernels run on the calling thread; parallelism comes from the
+//     execution driver running whole invocation bodies concurrently.
 //   * Narrow outputs (n == 8, the first conv layer's channels, and n == 4,
 //     the arcade policy head) take their own micro-kernel written with
 //     vector extensions, because the templated wide micro-kernel at NR = 8
-//     vectorizes into gathers and spills. It reads A through a (row, k) stride pair, so matmul_tn runs
-//     it straight on A's storage with no transpose pack.
+//     vectorizes into gathers and spills. It reads A through a (row, k)
+//     stride pair, so matmul_tn runs it straight on A's storage with no
+//     transpose pack.
 //   * Otherwise matmul_tn packs the A panel into a transposed scratch
 //     buffer first (pure data movement), then reuses the nn micro-kernel;
 //     matmul_nt does the same with B, since a dot-product micro-kernel
@@ -31,10 +29,8 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
-#include "tensor/kernel_config.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/scratch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stellaris::ops {
 namespace {
@@ -42,12 +38,11 @@ namespace {
 // Register tile and cache panels. 4×48 accumulators measured fastest for
 // the -march=native AVX-512 build (three 16-lane accumulator columns per
 // row keep both FMA ports busy) while staying ahead of the reference ikj
-// kernel in the portable build; kMC is also the threading grain. Column
-// edges are handled by compile-time sub-tiles (32, then 16, then a scalar
-// tail) because a runtime-bound tile defeats the vectorizer.
+// kernel in the portable build. Column edges are handled by compile-time
+// sub-tiles (32, then 16, then a scalar tail) because a runtime-bound tile
+// defeats the vectorizer.
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kNR = 48;
-constexpr std::size_t kMC = 64;
 constexpr std::size_t kNC = 240;  // multiple of kNR: edge tiles only at the true edge
 
 obs::Counter& gemm_calls() {
@@ -59,12 +54,6 @@ obs::Counter& gemm_calls() {
 obs::Counter& gemm_flop_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("kernel.gemm_flops");
-  return c;
-}
-
-obs::Counter& gemm_parallel_calls() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("kernel.gemm_parallel_calls");
   return c;
 }
 
@@ -119,15 +108,15 @@ inline void micro_nn_scalar(std::size_t mr, std::size_t nr, std::size_t k,
   }
 }
 
-// One i-panel [i0, i1) of C = A·B with A given row-major (stride lda).
-// Shared by nn (A as passed) and tn (packed A panel, i0 rebased to 0).
-void gemm_nn_panel(std::size_t i0, std::size_t i1, std::size_t n,
-                   std::size_t k, const float* pa, std::size_t lda,
-                   const float* pb, float* pc) {
+// The m rows of C = A·B with A given row-major (stride lda). Shared by nn
+// (A as passed), tn (packed Aᵀ) and nt (packed Bᵀ).
+void gemm_nn_panel(std::size_t m, std::size_t n, std::size_t k,
+                   const float* pa, std::size_t lda, const float* pb,
+                   float* pc) {
   for (std::size_t j0 = 0; j0 < n; j0 += kNC) {
     const std::size_t j1 = std::min(n, j0 + kNC);
-    for (std::size_t i = i0; i < i1; i += kMR) {
-      const std::size_t mr = std::min(kMR, i1 - i);
+    for (std::size_t i = 0; i < m; i += kMR) {
+      const std::size_t mr = std::min(kMR, m - i);
       const float* arow = pa + i * lda;
       float* crow = pc + i * n;
       std::size_t j = j0;
@@ -200,26 +189,26 @@ inline void micro_narrow(std::size_t kc, const float* a, std::size_t ars,
     for (std::size_t v = 0; v < NV; ++v) store4(c + r * n + 4 * v, acc[r][v]);
 }
 
-// One i-panel [i0, i1) of C = op(A)·B for n = 4·NV, op(A)(i, kk) read at
+// The m rows of C = op(A)·B for n = 4·NV, op(A)(i, kk) read at
 // pa[i·ars + kk·aks]: nn passes (lda, 1), tn passes (1, m). All row tiles
 // walk one k chunk before any moves to the next.
 template <std::size_t NV>
-void gemm_narrow_panel(std::size_t i0, std::size_t i1, std::size_t k,
-                       const float* pa, std::size_t ars, std::size_t aks,
-                       const float* pb, float* pc) {
+void gemm_narrow_panel(std::size_t m, std::size_t k, const float* pa,
+                       std::size_t ars, std::size_t aks, const float* pb,
+                       float* pc) {
   constexpr std::size_t n = 4 * NV;
   for (std::size_t k0 = 0; k0 == 0 || k0 < k; k0 += kKC) {
     const std::size_t kc = std::min(kKC, k - k0);
     const bool resume = k0 > 0;
     const float* pbk = pb + k0 * n;
-    std::size_t i = i0;
-    for (; i + kMR <= i1; i += kMR)
+    std::size_t i = 0;
+    for (; i + kMR <= m; i += kMR)
       micro_narrow<kMR, NV>(kc, pa + i * ars + k0 * aks, ars, aks, pbk,
                             pc + i * n, resume);
-    if (i == i1) continue;
+    if (i == m) continue;
     const float* a = pa + i * ars + k0 * aks;
     float* c = pc + i * n;
-    switch (i1 - i) {
+    switch (m - i) {
       case 3: micro_narrow<3, NV>(kc, a, ars, aks, pbk, c, resume); break;
       case 2: micro_narrow<2, NV>(kc, a, ars, aks, pbk, c, resume); break;
       case 1: micro_narrow<1, NV>(kc, a, ars, aks, pbk, c, resume); break;
@@ -231,31 +220,13 @@ void gemm_narrow_panel(std::size_t i0, std::size_t i1, std::size_t k,
 // Output widths that take the narrow path.
 bool narrow(std::size_t n) { return n == 4 || n == 8; }
 
-void gemm_narrow(std::size_t n, std::size_t i0, std::size_t i1, std::size_t k,
+void gemm_narrow(std::size_t m, std::size_t n, std::size_t k,
                  const float* pa, std::size_t ars, std::size_t aks,
                  const float* pb, float* pc) {
   if (n == 8)
-    gemm_narrow_panel<2>(i0, i1, k, pa, ars, aks, pb, pc);
+    gemm_narrow_panel<2>(m, k, pa, ars, aks, pb, pc);
   else
-    gemm_narrow_panel<1>(i0, i1, k, pa, ars, aks, pb, pc);
-}
-
-// Run `panel(i0, i1)` over [0, m), in kMC panels across the kernel pool
-// when the product is big enough and threading is enabled, serially
-// otherwise. Either way each C row is written by exactly one invocation.
-template <typename PanelFn>
-void dispatch_row_panels(std::size_t m, std::uint64_t flops,
-                         const PanelFn& panel) {
-  const std::size_t threads = kernel_threads();
-  const std::size_t panels = (m + kMC - 1) / kMC;
-  if (threads > 1 && panels > 1 && flops >= kernel_parallel_min_flops()) {
-    gemm_parallel_calls().add(1);
-    detail::kernel_pool(threads).parallel_for(panels, [&](std::size_t p) {
-      panel(p * kMC, std::min(m, (p + 1) * kMC));
-    });
-  } else if (m > 0) {
-    panel(0, m);
-  }
+    gemm_narrow_panel<1>(m, k, pa, ars, aks, pb, pc);
 }
 
 void check_not_aliased(const Tensor& c, const Tensor& a, const Tensor& b,
@@ -277,21 +248,15 @@ void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
                                          << shape_str(a.shape()) << " x "
                                          << shape_str(b.shape()));
   c.ensure_shape({m, n});
-  const std::uint64_t flops = 2ull * m * n * k;
   gemm_calls().add(1);
-  gemm_flop_counter().add(flops);
+  gemm_flop_counter().add(2ull * m * n * k);
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
-  if (narrow(n)) {
-    dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-      gemm_narrow(n, i0, i1, k, pa, k, 1, pb, pc);
-    });
-    return;
-  }
-  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    gemm_nn_panel(i0, i1, n, k, pa, k, pb, pc);
-  });
+  if (narrow(n))
+    gemm_narrow(m, n, k, pa, k, 1, pb, pc);
+  else
+    gemm_nn_panel(m, n, k, pa, k, pb, pc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -309,32 +274,27 @@ void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   STELLARIS_CHECK_MSG(b.dim(0) == k, "matmul_tn inner-dim mismatch");
   c.ensure_shape({m, n});
-  const std::uint64_t flops = 2ull * m * n * k;
   gemm_calls().add(1);
-  gemm_flop_counter().add(flops);
+  gemm_flop_counter().add(2ull * m * n * k);
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
   if (narrow(n)) {
     // Aᵀ(i, kk) is A(kk, i): read A in place, row step 1, k step m.
-    dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-      gemm_narrow(n, i0, i1, k, pa, 1, m, pb, pc);
-    });
+    gemm_narrow(m, n, k, pa, 1, m, pb, pc);
     return;
   }
-  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    // Pack Aᵀ[i0..i1) into a contiguous (i1-i0, k) panel — pure data
-    // movement, so the k-accumulation order below is untouched — then run
-    // the nn panel on it. Per-thread scratch: workers pack independently.
-    auto pack = ScratchPool::local().take({i1 - i0, k});
-    float* pp = pack->data().data();
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* arow = pa + kk * m;
-      for (std::size_t i = i0; i < i1; ++i)
-        pp[(i - i0) * k + kk] = arow[i];
-    }
-    gemm_nn_panel(0, i1 - i0, n, k, pp, k, pb, pc + i0 * n);
-  });
+  if (m == 0) return;
+  // Pack Aᵀ into a contiguous (m, k) panel — pure data movement, so the
+  // k-accumulation order below is untouched — then run the nn panel on it.
+  // Per-thread scratch: concurrent driver bodies pack independently.
+  auto pack = ScratchPool::local().take({m, k});
+  float* pp = pack->data().data();
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* arow = pa + kk * m;
+    for (std::size_t i = 0; i < m; ++i) pp[i * k + kk] = arow[i];
+  }
+  gemm_nn_panel(m, n, k, pp, k, pb, pc);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
@@ -352,9 +312,8 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   STELLARIS_CHECK_MSG(b.dim(1) == k, "matmul_nt inner-dim mismatch");
   c.ensure_shape({m, n});
-  const std::uint64_t flops = 2ull * m * n * k;
   gemm_calls().add(1);
-  gemm_flop_counter().add(flops);
+  gemm_flop_counter().add(2ull * m * n * k);
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* pc = c.data().data();
@@ -362,16 +321,14 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
   // micro-kernel can't be vectorized without reassociating the k chain
   // (which would break bit-exactness); the transpose is pure data movement,
   // so the nn kernel's per-element k order — ascending from 0 — is exactly
-  // the reference nt order. Packed before the dispatch: panels share it.
+  // the reference nt order.
   auto packed = ScratchPool::local().take({k, n});
   float* pp = packed->data().data();
   for (std::size_t j = 0; j < n; ++j) {
     const float* brow = pb + j * k;
     for (std::size_t kk = 0; kk < k; ++kk) pp[kk * n + j] = brow[kk];
   }
-  dispatch_row_panels(m, flops, [&](std::size_t i0, std::size_t i1) {
-    gemm_nn_panel(i0, i1, n, k, pa, k, pp, pc);
-  });
+  gemm_nn_panel(m, n, k, pa, k, pp, pc);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {

@@ -2,11 +2,9 @@
 // family, and the im2col lowering used by the convolution layer.
 //
 // Layout (one concern per TU):
-//   gemm.cpp        — cache-blocked, register-tiled, optionally threaded
-//                     GEMM variants
+//   gemm.cpp        — cache-blocked, register-tiled GEMM variants
 //   elementwise.cpp — activations, softmax family, bias/row reductions
 //   ops.cpp         — convolution lowering (im2col / col2im)
-//   kernel_config.* — threading knobs shared by the kernels
 //   scratch.*       — reusable scratch-tensor pool
 //
 // Every kernel comes in two forms: a value-returning convenience wrapper
@@ -19,8 +17,7 @@
 // order starting from 0, exactly like the naive reference kernels below.
 // Where k is cut into chunks, each chunk resumes from the stored partial
 // sum, which leaves the chain unchanged. Results are therefore
-// bit-identical to ops::reference, with threading on or off, at any thread
-// count.
+// bit-identical to ops::reference. Every kernel runs on its calling thread.
 //
 // The seed kernels are retained verbatim under ops::reference (minus a
 // zero-skip branch that broke IEEE NaN/Inf propagation): they are the

@@ -19,8 +19,9 @@ struct HeldLock {
 // strictly increase along it, so its depth is bounded by the number of
 // lock_rank levels, far below kMaxHeld. The storage is trivially
 // destructible on purpose: a mutex locked while statics are destroyed at
-// exit (the kernel pool's ThreadPool, say) runs after the main thread's
-// thread_local objects are gone, and must not touch a destroyed vector.
+// exit (a static registry or pool's destructor, say) runs after the main
+// thread's thread_local objects are gone, and must not touch a destroyed
+// vector.
 constexpr std::size_t kMaxHeld = 32;
 
 struct HeldStack {

@@ -32,12 +32,9 @@
 //
 //   100  cache/shard               logs + wakes waiters while held
 //   120  serverless/container-pool leaf (metrics atomics + RNG only)
-//   150  tensor/kernel-pool        constructs the kernel ThreadPool
-//   200  util/thread-pool          work-queue mutex
 //   210  sim/driver-queue          execution-driver job queue
 //   220  sim/driver-job            per-job done flag + error slot
 //   230  util/lease-pool           every LeasePool free list
-//   250  util/parallel-for-errors  error capture inside pool tasks
 //   300  obs/metrics-registry      instrument registration + export
 //   360  obs/ledger                run-ledger line buffer
 //   370  obs/timeseries            sampled-series buffer
@@ -110,8 +107,6 @@ namespace lock_rank {
 // makes a nested stripe acquisition abort (DESIGN.md §12).
 inline constexpr int kCache = 100;
 inline constexpr int kContainerPool = 120;
-inline constexpr int kKernelPool = 150;
-inline constexpr int kThreadPool = 200;
 // Execution-driver locks (sim/driver): a worker holds the queue lock only
 // around dequeue bookkeeping, and a job lock only around its done flag; a
 // body waiting on its predecessor holds NOTHING (sequential, never nested).
@@ -122,7 +117,6 @@ inline constexpr int kDriverJob = 220;
 // thread holding leases from two pools holds no pool lock: one rank for
 // every pool is safe.
 inline constexpr int kLeasePool = 230;
-inline constexpr int kParallelForErrors = 250;
 inline constexpr int kMetricsRegistry = 300;
 // Telemetry sinks (run ledger, time-series recorder): terminal — emitters
 // may hold subsystem locks while appending, but the recorders never call

@@ -88,9 +88,14 @@ std::string ByteReader::get_string() {
 std::size_t ByteReader::vec_header(std::uint8_t tag, const char* what,
                                    std::size_t elem_size) {
   expect_tag(get_u8(), tag, what);
-  const auto n = static_cast<std::size_t>(raw<std::uint64_t>());
-  need(n * elem_size);
-  return n;
+  const auto n = raw<std::uint64_t>();
+  // Divide rather than multiply: an inflated count must not wrap n *
+  // elem_size into a small byte count that passes the bounds check.
+  if (n > remaining() / elem_size)
+    throw Error(std::string("ByteReader overrun: ") + what + " of " +
+                std::to_string(n) + " elements, have " +
+                std::to_string(remaining()) + " bytes");
+  return static_cast<std::size_t>(n);
 }
 
 std::vector<float> ByteReader::get_f32_vector() {

@@ -10,9 +10,8 @@
 //
 // Excluded from the metric comparison (and ONLY these): real-time debug
 // metrics (`_real_` in the name) and execution-substrate diagnostics
-// (`kernel.*`, `tensor.*`) — allocation warm-up and parallel-dispatch
-// counts depend on worker-context pool sizing and the kernel thread clamp,
-// not on anything results are derived from.
+// (`kernel.*`, `tensor.*`) — allocation warm-up counts depend on
+// worker-context pool sizing, not on anything results are derived from.
 #include <gtest/gtest.h>
 
 #include <cctype>

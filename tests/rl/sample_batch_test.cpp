@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace stellaris::rl {
 namespace {
@@ -180,6 +187,106 @@ TEST(SampleBatch, SerializeIsSingleAllocationSized) {
   a.episode_returns = {1.0};
   const auto bytes = a.serialize();
   EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
+// -- hostile payloads ----------------------------------------------------------
+// Cache payloads are untrusted bytes: each malformed batch below is spliced
+// out of a valid serialize() and must throw Error, never read out of bounds
+// or escape as std::bad_alloc / std::length_error.
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes cat(std::initializer_list<ByteSpan> parts) {
+  Bytes out;
+  for (const ByteSpan p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+// A 5-step batch with no segments and empty trailing fields, so the wire
+// layout around the spliced fields is fixed.
+SampleBatch hostile_base() { return make_batch(5, 1, 1.0f); }
+
+// The base batch with its segment fields replaced by `starts` / `boots`.
+Bytes with_segments(std::span<const std::uint64_t> starts,
+                    std::span<const float> boots) {
+  const Bytes valid = hostile_base().serialize();
+  // Tail: policy version, empty advantages and value targets, empty
+  // episode returns.
+  const std::size_t tail = wire::size_u64() +
+                           2 * (wire::size_u64_vector(0) +
+                                wire::size_f32_vector(0)) +
+                           wire::size_f64_vector(0);
+  const std::size_t segs = wire::size_u64_vector(0) + wire::size_f32_vector(0);
+  const ByteSpan all(valid);
+  ByteWriter w;
+  w.put_u64_span(starts);
+  w.put_f32_span(boots);
+  return cat({all.first(valid.size() - tail - segs), ByteSpan(w.bytes()),
+              all.last(tail)});
+}
+
+// The base batch with its leading obs tensor replaced by `dims` and `data`,
+// under an f32vec length prefix that claims `count` floats.
+Bytes with_obs(std::span<const std::uint64_t> dims, std::uint64_t count,
+               std::span<const float> data) {
+  const SampleBatch base = hostile_base();
+  const Bytes valid = base.serialize();
+  const std::size_t obs = wire::size_u64_vector(base.obs.rank()) +
+                          wire::size_f32_vector(base.obs.numel());
+  ByteWriter w;
+  w.put_u64_span(dims);
+  w.put_f32_span(data);
+  Bytes field = w.take();
+  std::memcpy(field.data() + wire::size_u64_vector(dims.size()) + 1, &count,
+              sizeof(count));
+  const ByteSpan all(valid);
+  return cat({all.first(1), ByteSpan(field), all.subspan(1 + obs)});
+}
+
+TEST(SampleBatch, SplicedPayloadsRoundTrip) {
+  // Control: the splicing itself produces decodable payloads.
+  const std::vector<std::uint64_t> starts{0, 2, 5};
+  const std::vector<float> boots{1.0f, 2.0f, 3.0f};
+  const SampleBatch b = SampleBatch::deserialize(with_segments(starts, boots));
+  ASSERT_EQ(b.segments.size(), 3u);
+  EXPECT_EQ(b.segments[1].start, 2u);
+  EXPECT_FLOAT_EQ(b.segments[2].bootstrap, 3.0f);
+  const std::vector<std::uint64_t> dims{5, 2};
+  const std::vector<float> data(10, 0.5f);
+  EXPECT_EQ(SampleBatch::deserialize(with_obs(dims, 10, data)).obs.vec(),
+            data);
+}
+
+TEST(SampleBatch, DeserializeRejectsHostileSegments) {
+  using U = std::vector<std::uint64_t>;
+  using F = std::vector<float>;
+  // Fewer bootstraps than starts (was a heap out-of-bounds read), and more.
+  EXPECT_THROW(SampleBatch::deserialize(with_segments(U{0, 3}, F{1.0f})),
+               Error);
+  EXPECT_THROW(SampleBatch::deserialize(with_segments(U{0}, F{1.0f, 2.0f})),
+               Error);
+  // Starts must be non-decreasing and within the 5 steps.
+  EXPECT_THROW(
+      SampleBatch::deserialize(with_segments(U{0, 4, 2}, F{1.0f, 2.0f, 3.0f})),
+      Error);
+  EXPECT_THROW(SampleBatch::deserialize(with_segments(U{0, 6}, F{1.0f, 2.0f})),
+               Error);
+}
+
+TEST(SampleBatch, DeserializeRejectsHostileShapes) {
+  using U = std::vector<std::uint64_t>;
+  const std::vector<float> two{1.0f, 2.0f};
+  // (2^63 + 1) x 2 wraps to 2 elements, which the data would match.
+  EXPECT_THROW(
+      SampleBatch::deserialize(with_obs(U{(1ull << 63) + 1, 2}, 2, two)),
+      Error);
+  // A shape far larger than the payload must not be allocated.
+  EXPECT_THROW(SampleBatch::deserialize(with_obs(U{1ull << 62}, 0, {})),
+               Error);
+  // A data length prefix inflated so count * 4 wraps to 4 bytes.
+  EXPECT_THROW(
+      SampleBatch::deserialize(with_obs(U{5, 2}, (1ull << 62) + 1, two)),
+      Error);
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 // ServeEngine end-to-end: batched inference over the virtual clock,
 // cross-driver bit-identity, canary promote/rollback, admission under
-// overload, queue-depth autoscaling, snapshot decode reuse, and the
-// driver×kernel thread-budget clamp.
+// overload, queue-depth autoscaling, and snapshot decode reuse.
 #include "serve/serve_engine.hpp"
 
 #include <gtest/gtest.h>
-
-#include "tensor/kernel_config.hpp"
 
 namespace stellaris::serve {
 namespace {
@@ -191,21 +188,6 @@ TEST(ServeEngine, MultiTenantIsolatesStreams) {
   EXPECT_GT(res.tenants[0].completed, 0u);
   EXPECT_GT(res.tenants[1].completed, 0u);
   EXPECT_NE(res.tenants[0].value_checksum, res.tenants[1].value_checksum);
-}
-
-TEST(ServeEngine, AppliesDriverThreadBudgetClamp) {
-  const std::size_t saved = ops::kernel_threads();
-  ops::set_kernel_threads(8);
-  auto cfg = base_config();
-  cfg.tenants[0].traffic.duration_s = 0.5;
-  cfg.driver = sim::DriverKind::kConcurrent;
-  cfg.driver_threads = 4;
-  cfg.hardware_threads = 16;  // injected: 8 kernels × 4 bodies > 16 threads
-  run_scenario(cfg);
-  // The serving run clamps kernels to hardware / driver_threads = 4, same
-  // as the trainer path (warn-once behavior covered in sim/driver_test).
-  EXPECT_EQ(ops::kernel_threads(), 4u);
-  ops::set_kernel_threads(saved);
 }
 
 }  // namespace

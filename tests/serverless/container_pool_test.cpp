@@ -4,8 +4,8 @@
 
 #include <atomic>
 
+#include "run_on_threads.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace stellaris::serverless {
 namespace {
@@ -96,8 +96,7 @@ TEST(ContainerPool, ConcurrentAcquireReleaseKeepsInvariants) {
   ContainerPool pool(kCapacity, fast_lat(), 1);
   std::atomic<std::uint64_t> acquired{0};
   std::atomic<bool> overflow{false};
-  ThreadPool threads(8);
-  threads.parallel_for(kIters, [&](std::size_t i) {
+  testing_util::run_on_threads(8, kIters, [&](std::size_t i) {
     auto a = pool.acquire(static_cast<double>(i));
     if (!a) return;
     acquired.fetch_add(1, std::memory_order_relaxed);

@@ -1,6 +1,6 @@
 // Unit tests for the execution drivers (sim/driver.hpp, DESIGN.md §14):
 // job lifecycle, chained `after` dependencies, exception capture, drain,
-// the per-invocation RNG stream keying, and the kernel-thread budget clamp.
+// and the per-invocation RNG stream keying.
 #include "sim/driver.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/kernel_config.hpp"
 #include "util/rng.hpp"
 
 namespace stellaris::sim {
@@ -118,36 +117,6 @@ TEST(ConcurrentDriver, SingleThreadStillCompletesChains) {
   Driver::join(prev);
   ASSERT_EQ(order.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(DriverThreadBudget, ClampsOnOversubscription) {
-  const std::size_t saved = ops::kernel_threads();
-  // 8 kernel threads × 4 driver threads on a "16-hardware-thread" machine
-  // oversubscribes; the budget clamps kernels to 16/4 = 4.
-  ops::set_kernel_threads(8);
-  EXPECT_EQ(ops::apply_driver_thread_budget(4, 16), 4u);
-  EXPECT_EQ(ops::kernel_threads(), 4u);
-  ops::set_kernel_threads(saved);
-}
-
-TEST(DriverThreadBudget, NoClampWhenBudgetFits) {
-  const std::size_t saved = ops::kernel_threads();
-  ops::set_kernel_threads(2);
-  EXPECT_EQ(ops::apply_driver_thread_budget(4, 16), 2u);
-  EXPECT_EQ(ops::kernel_threads(), 2u);
-  // driver_threads <= 1 (the virtual driver) never clamps.
-  ops::set_kernel_threads(64);
-  EXPECT_EQ(ops::apply_driver_thread_budget(1, 16), 64u);
-  EXPECT_EQ(ops::kernel_threads(), 64u);
-  ops::set_kernel_threads(saved);
-}
-
-TEST(DriverThreadBudget, NeverClampsBelowOne) {
-  const std::size_t saved = ops::kernel_threads();
-  ops::set_kernel_threads(8);
-  EXPECT_EQ(ops::apply_driver_thread_budget(32, 16), 1u);
-  EXPECT_EQ(ops::kernel_threads(), 1u);
-  ops::set_kernel_threads(saved);
 }
 
 }  // namespace

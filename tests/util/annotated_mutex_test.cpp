@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 #include <vector>
 
-#include "util/thread_pool.hpp"
+#include "run_on_threads.hpp"
 
 namespace stellaris {
 namespace {
@@ -15,8 +16,7 @@ namespace {
 TEST(AnnotatedMutex, MutexLockProvidesExclusion) {
   Mutex mu("test/exclusion", 10);
   int counter = 0;
-  ThreadPool pool(4);
-  pool.parallel_for(1000, [&](std::size_t) {
+  testing_util::run_on_threads(4, 1000, [&](std::size_t) {
     MutexLock lock(mu);
     ++counter;
   });
@@ -38,8 +38,7 @@ TEST(AnnotatedMutex, SharedMutexAllowsConcurrentReaders) {
   std::vector<int> data{1, 2, 3};
   int sum = 0;
   Mutex sum_mu("test/shared-sum", 20);
-  ThreadPool pool(4);
-  pool.parallel_for(64, [&](std::size_t) {
+  testing_util::run_on_threads(4, 64, [&](std::size_t) {
     int local = 0;
     {
       ReaderLock lock(mu);
@@ -60,8 +59,7 @@ TEST(AnnotatedMutex, CondVarWaitWakesOnNotify) {
   Mutex mu("test/condvar", 10);
   CondVar cv;
   bool ready = false;
-  ThreadPool pool(1);
-  auto fut = pool.submit([&] {
+  std::thread notifier([&] {
     MutexLock lock(mu);
     ready = true;
     cv.notify_one();
@@ -71,7 +69,7 @@ TEST(AnnotatedMutex, CondVarWaitWakesOnNotify) {
     while (!ready) cv.wait(mu);
     EXPECT_TRUE(ready);
   }
-  fut.get();
+  notifier.join();
 }
 
 TEST(AnnotatedMutex, CondVarWaitUntilTimesOut) {
@@ -96,12 +94,9 @@ TEST(AnnotatedMutex, NamesAndRanksAreExposed) {
 
 TEST(AnnotatedMutex, HierarchyRanksAreStrictlyOrdered) {
   // The documented hierarchy (DESIGN.md §11) must stay strictly increasing
-  // along every held-across edge: cache logs while locked, the kernel pool
-  // registry constructs the thread pool, pool tasks record errors.
+  // along every held-across edge: cache logs while locked.
   EXPECT_LT(lock_rank::kCache, lock_rank::kLogger);
   EXPECT_LT(lock_rank::kContainerPool, lock_rank::kLogger);
-  EXPECT_LT(lock_rank::kKernelPool, lock_rank::kThreadPool);
-  EXPECT_LT(lock_rank::kThreadPool, lock_rank::kParallelForErrors);
   EXPECT_LT(lock_rank::kMetricsRegistry, lock_rank::kLogger);
 }
 

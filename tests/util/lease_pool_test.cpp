@@ -5,7 +5,7 @@
 #include <atomic>
 #include <vector>
 
-#include "util/thread_pool.hpp"
+#include "run_on_threads.hpp"
 
 namespace stellaris {
 namespace {
@@ -101,8 +101,7 @@ TEST(LeasePool, ConcurrentLeasesFromTwoPools) {
   std::atomic<int> builds_b{0};
   ScratchPool a(&builds_a);
   ScratchPool b(&builds_b);
-  ThreadPool workers(4);
-  workers.parallel_for(256, [&](std::size_t i) {
+  testing_util::run_on_threads(4, 256, [&](std::size_t i) {
     auto la = a.lease();
     auto lb = b.lease();
     la->owner = static_cast<int>(i);  // a lease is exclusive to its holder

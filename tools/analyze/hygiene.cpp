@@ -11,11 +11,11 @@
 //   wall-clock    No {system,steady,high_resolution}_clock. Results live on
 //                 the virtual clock (sim::Engine::now). util/logging.cpp is
 //                 exempt (log line timestamps).
-//   raw-thread    No std::thread / std::jthread outside util/thread_pool.*.
-//                 The execution driver's worker pool, which needs lazy
-//                 spawn + drain semantics ThreadPool does not model, marks
-//                 each line instead. std::thread::hardware_concurrency() is
-//                 a query, not a thread.
+//   raw-thread    No std::thread / std::jthread. Kernels run on the calling
+//                 thread, so the execution driver's worker pool is the one
+//                 owner of threads, and it marks each line.
+//                 std::thread::hardware_concurrency() is a query, not a
+//                 thread.
 //   raw-mutex     No std mutex / condition_variable / lock types (or their
 //                 headers) outside util/annotated_mutex.*: everything locks
 //                 through the annotated wrappers so Clang can check it and
@@ -178,12 +178,10 @@ const std::vector<Rule>& rules() {
        "results run on the virtual clock (sim::Engine); wall-clock reads are "
        "nondeterministic — mark intentional real-time debug code with "
        "analyze:wall-clock-ok"},
-      {"raw-thread", match_raw_thread,
-       {"src/util/thread_pool.hpp", "src/util/thread_pool.cpp"}, nullptr,
-       nullptr,
-       "raw threads bypass ThreadPool's shutdown/exception/accounting "
-       "discipline; a pool-like owner with a reason marks each line "
-       "analyze:raw-thread-ok"},
+      {"raw-thread", match_raw_thread, {}, nullptr, nullptr,
+       "parallelism comes from the execution driver's worker pool (its "
+       "spawn/drain/join and per-job exception capture); an owner of "
+       "threads with a reason marks each line analyze:raw-thread-ok"},
       {"raw-mutex", match_raw_mutex,
        {"src/util/annotated_mutex.hpp", "src/util/annotated_mutex.cpp"},
        nullptr, nullptr,

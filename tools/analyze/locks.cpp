@@ -271,7 +271,7 @@ void check_locks(const Project& project, const std::string& design_md,
     for (const auto& [target, line] : file.includes) {
       (void)line;
       for (const auto& c : sites) {
-        // Includes are rooted at src/ ("util/thread_pool.hpp"); the
+        // Includes are rooted at src/ ("util/lease_pool.hpp"); the
         // construction's rel path carries the "src/" prefix.
         if (c.file == target || c.file == "src/" + target)
           add_vars(file.rel, c);

@@ -5,6 +5,7 @@ namespace stellaris {
 
 void hygiene_clean() {
   unsigned n = std::thread::hardware_concurrency();  // a query, not a thread
+  std::thread worker([] {});  // analyze:raw-thread-ok — the driver's pool
   Rng rng(seed);
   double t = engine.now();
   auto w = std::chrono::steady_clock::now();  // analyze:wall-clock-ok
