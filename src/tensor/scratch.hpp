@@ -7,9 +7,9 @@
 // and the steady state allocates nothing. Contents of a leased tensor are
 // unspecified — callers must fully overwrite (all the *_into kernels do).
 //
-// The pool is thread-local, so kernel worker threads each reuse their own
-// buffers with no locking; leases returned on a thread stay with that
-// thread. Reuse volume is exported via the "kernel.scratch_bytes_reused" /
+// The pool is thread-local, so bodies running at once on the execution
+// driver's workers each reuse their own buffers with no locking; leases
+// returned on a thread stay with that thread. Reuse volume is exported via the "kernel.scratch_bytes_reused" /
 // "kernel.scratch_bytes_allocated" metrics counters.
 #pragma once
 

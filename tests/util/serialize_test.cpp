@@ -2,8 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace stellaris {
 namespace {
+
+// A vector field's header, tag byte then a raw u64 element count, followed
+// by `payload` filler bytes: lets a test claim any count it likes.
+std::vector<std::uint8_t> vector_header(std::uint8_t tag, std::uint64_t count,
+                                        std::size_t payload) {
+  std::vector<std::uint8_t> out(1 + sizeof(count) + payload, 0);
+  out[0] = tag;
+  std::memcpy(out.data() + 1, &count, sizeof(count));
+  return out;
+}
 
 TEST(Serialize, PrimitiveRoundTrip) {
   ByteWriter w;
@@ -185,6 +197,79 @@ TEST(Serialize, IntoVariantsReuseCapacity) {
   EXPECT_EQ(bv.data(), bp);
   EXPECT_EQ(fv.front(), 2.0f);
   EXPECT_EQ(bv.front(), 0xaa);
+}
+
+// An element count whose byte size wraps past 2^64 to exactly the bytes
+// left must be refused as an overrun before anything is sized from it, and
+// the _into destination must be left as it was. So must a count one element
+// past what is left.
+TEST(Serialize, InflatedF32VectorCountThrowsError) {
+  const auto wrapped = vector_header(wire::kF32Vec, (1ULL << 62) + 1, 4);
+  ByteReader r(wrapped);
+  EXPECT_THROW(r.get_f32_vector(), Error);
+  std::vector<float> out(3, 1.0f);
+  ByteReader r_into(wrapped);
+  EXPECT_THROW(r_into.get_f32_vector_into(out), Error);
+  EXPECT_EQ(out, std::vector<float>(3, 1.0f));
+  const auto one_past = vector_header(wire::kF32Vec, 2, 4);
+  ByteReader r_past(one_past);
+  EXPECT_THROW(r_past.get_f32_vector(), Error);
+  const auto exact = vector_header(wire::kF32Vec, 1, 4);
+  ByteReader r_exact(exact);
+  EXPECT_EQ(r_exact.get_f32_vector(), std::vector<float>(1, 0.0f));
+  EXPECT_TRUE(r_exact.exhausted());
+}
+
+TEST(Serialize, InflatedF64VectorCountThrowsError) {
+  const auto wrapped = vector_header(wire::kF64Vec, (1ULL << 61) + 1, 8);
+  ByteReader r(wrapped);
+  EXPECT_THROW(r.get_f64_vector(), Error);
+  std::vector<double> out(3, 1.0);
+  ByteReader r_into(wrapped);
+  EXPECT_THROW(r_into.get_f64_vector_into(out), Error);
+  EXPECT_EQ(out, std::vector<double>(3, 1.0));
+  const auto one_past = vector_header(wire::kF64Vec, 2, 8);
+  ByteReader r_past(one_past);
+  EXPECT_THROW(r_past.get_f64_vector(), Error);
+  const auto exact = vector_header(wire::kF64Vec, 1, 8);
+  ByteReader r_exact(exact);
+  EXPECT_EQ(r_exact.get_f64_vector(), std::vector<double>(1, 0.0));
+  EXPECT_TRUE(r_exact.exhausted());
+}
+
+TEST(Serialize, InflatedU64VectorCountThrowsError) {
+  const auto wrapped = vector_header(wire::kU64Vec, (1ULL << 61) + 1, 8);
+  ByteReader r(wrapped);
+  EXPECT_THROW(r.get_u64_vector(), Error);
+  std::vector<std::uint64_t> out(3, 7);
+  ByteReader r_into(wrapped);
+  EXPECT_THROW(r_into.get_u64_vector_into(out), Error);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(3, 7));
+  const auto one_past = vector_header(wire::kU64Vec, 2, 8);
+  ByteReader r_past(one_past);
+  EXPECT_THROW(r_past.get_u64_vector(), Error);
+  const auto exact = vector_header(wire::kU64Vec, 1, 8);
+  ByteReader r_exact(exact);
+  EXPECT_EQ(r_exact.get_u64_vector(), std::vector<std::uint64_t>(1, 0));
+  EXPECT_TRUE(r_exact.exhausted());
+}
+
+TEST(Serialize, InflatedBytesCountThrowsError) {
+  // A blob's length prefix is a tagged u64.
+  const auto huge = vector_header(wire::kU64, ~0ULL, 4);
+  ByteReader r(huge);
+  EXPECT_THROW(r.get_bytes(), Error);
+  std::vector<std::uint8_t> out(3, 0xaa);
+  ByteReader r_into(huge);
+  EXPECT_THROW(r_into.get_bytes_into(out), Error);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(3, 0xaa));
+  const auto one_past = vector_header(wire::kU64, 5, 4);
+  ByteReader r_past(one_past);
+  EXPECT_THROW(r_past.get_bytes(), Error);
+  const auto exact = vector_header(wire::kU64, 4, 4);
+  ByteReader r_exact(exact);
+  EXPECT_EQ(r_exact.get_bytes(), std::vector<std::uint8_t>(4, 0));
+  EXPECT_TRUE(r_exact.exhausted());
 }
 
 }  // namespace
