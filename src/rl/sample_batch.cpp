@@ -76,8 +76,8 @@ void SampleBatch::deserialize_into(ByteSpan bytes, SampleBatch& out) {
   ByteReader r(bytes);
   out.action_kind = r.get_u8() == 0 ? nn::ActionKind::kContinuous
                                     : nn::ActionKind::kDiscrete;
-  std::vector<std::uint64_t> dims;  // scratch reused across tensor headers
-  Shape shape;
+  std::vector<std::uint64_t>& dims = out.wire_scratch.u64;
+  Shape& shape = out.wire_scratch.shape;
   auto get_tensor = [&](Tensor& t) {
     r.get_u64_vector_into(dims);
     shape.assign(dims.begin(), dims.end());
@@ -114,8 +114,10 @@ void SampleBatch::deserialize_into(ByteSpan bytes, SampleBatch& out) {
   get_tensor(out.values);
   out.bootstrap_value = r.get_f32();
   {
-    const auto seg_starts = r.get_u64_vector();
-    const auto seg_boot = r.get_f32_vector();
+    std::vector<std::uint64_t>& seg_starts = dims;
+    std::vector<float>& seg_boot = out.wire_scratch.f32;
+    r.get_u64_vector_into(seg_starts);
+    r.get_f32_vector_into(seg_boot);
     if (seg_starts.size() != seg_boot.size())
       throw Error("SampleBatch segment starts/bootstraps length mismatch: " +
                   std::to_string(seg_starts.size()) + " vs " +

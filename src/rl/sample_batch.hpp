@@ -62,6 +62,16 @@ struct SampleBatch {
   /// curves).
   std::vector<double> episode_returns;
 
+  /// deserialize_into's decode buffers for tensor dims and the segment
+  /// table, kept with the batch so that decoding into a warm batch
+  /// allocates nothing. Not part of the batch's value.
+  struct WireScratch {
+    std::vector<std::uint64_t> u64;
+    std::vector<float> f32;
+    Shape shape;
+  };
+  WireScratch wire_scratch;
+
   std::size_t size() const { return rewards.numel(); }
   bool has_advantages() const { return !advantages.empty(); }
 

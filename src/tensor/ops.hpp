@@ -57,6 +57,10 @@ void sum_rows_into(Tensor& out, const Tensor& x);
 
 // -- activations (out-of-place forward, gradient helpers) -------------------
 // For the `_into` forms the output may alias the primary input.
+/// glibc 2.36's tanhf, ported: the same bits as std::tanh on that libm for
+/// every float, so results do not depend on the host's libm.
+float tanh_scalar(float x);
+/// Elementwise tanh_scalar, four lanes at a time.
 Tensor tanh_forward(const Tensor& x);
 void tanh_forward_into(Tensor& y, const Tensor& x);
 /// dx = dy * (1 - y²) where y = tanh(x) from the forward pass.
@@ -106,7 +110,8 @@ void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
 // -- reference kernels --------------------------------------------------------
 // The seed's naive loops, kept as the semantic oracle for the bit-exactness
 // suite and as the "before" side of the kernel-perf harness. Not used by
-// any production path.
+// any production path. tanh_forward maps tanh_scalar over the elements
+// instead of libm's tanhf, whose bits it reproduces.
 namespace reference {
 
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -170,14 +170,35 @@ TEST(SampleBatch, DeserializeIntoMatchesDeserialize) {
 }
 
 TEST(SampleBatch, DeserializeIntoIsAllocationFreeOnceWarm) {
+  // A segmented batch, as concat() builds for learners: every container the
+  // decode writes (tensors, the segment table and the wire scratch) must
+  // keep its storage once warm, so no decode after the first allocates.
   SampleBatch a = make_batch(6, 2, 1.0f);
+  a.segments = {{0, 1.5f}, {2, 2.5f}, {4, 3.5f}};
+  a.episode_returns = {4.0, 5.0};
   const auto bytes = a.serialize();
   SampleBatch out;
   SampleBatch::deserialize_into(bytes, out);  // warm-up sizes the buffers
+  const std::vector<const void*> storage = {
+      out.obs.data().data(),      out.rewards.data().data(),
+      out.segments.data(),        out.episode_returns.data(),
+      out.wire_scratch.u64.data(), out.wire_scratch.f32.data(),
+      out.wire_scratch.shape.data()};
   const std::uint64_t allocs_before = tensor_buffer_allocs();
   for (int i = 0; i < 10; ++i) SampleBatch::deserialize_into(bytes, out);
   EXPECT_EQ(tensor_buffer_allocs(), allocs_before);
+  EXPECT_EQ(storage, (std::vector<const void*>{
+                         out.obs.data().data(), out.rewards.data().data(),
+                         out.segments.data(), out.episode_returns.data(),
+                         out.wire_scratch.u64.data(),
+                         out.wire_scratch.f32.data(),
+                         out.wire_scratch.shape.data()}));
   EXPECT_EQ(out.obs.vec(), a.obs.vec());
+  ASSERT_EQ(out.segments.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out.segments[i].start, a.segments[i].start);
+    EXPECT_EQ(out.segments[i].bootstrap, a.segments[i].bootstrap);
+  }
 }
 
 TEST(SampleBatch, SerializeIsSingleAllocationSized) {

@@ -12,7 +12,9 @@
 // or how many threads call in.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -304,6 +306,95 @@ TEST(ElementwiseInto, TanhFromConcurrentCallersBitIdentical) {
     ops::tanh_forward_into(out[i], x);
   });
   for (const Tensor& y : out) expect_bit_identical(y, serial, "tanh concurrent");
+}
+
+// -- tanh ----------------------------------------------------------------------
+// tanh_forward_into runs a four-lane port of glibc's tanhf and falls back to
+// the scalar port (ops::tanh_scalar) for tails and for chunks holding a
+// lane outside 2^-26 <= |x| < 19.5. Both must give std::tanh's bits.
+
+std::uint32_t float_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+float bits_float(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+// Runs the kernel over `xs` and compares every output with the scalar port
+// and with libm. Returns the number of mismatches; reports the first few.
+std::size_t count_tanh_mismatches(const std::vector<float>& xs) {
+  const Tensor x({xs.size()}, xs);
+  Tensor y;
+  ops::tanh_forward_into(y, x);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::uint32_t got = float_bits(y[i]);
+    const std::uint32_t port = float_bits(ops::tanh_scalar(xs[i]));
+    const std::uint32_t libm = float_bits(std::tanh(xs[i]));
+    if (got == port && port == libm) continue;
+    if (++bad <= 8)
+      ADD_FAILURE() << std::hexfloat << "x = " << xs[i] << " (0x" << std::hex
+                    << float_bits(xs[i]) << "): kernel 0x" << got
+                    << ", scalar port 0x" << port << ", std::tanh 0x" << libm;
+  }
+  return bad;
+}
+
+TEST(TanhKernel, SweepMatchesScalarPortAndLibm) {
+  std::vector<float> xs;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4099)
+    xs.push_back(bits_float(static_cast<std::uint32_t>(b)));
+  // Both sides of each bound, as |x| bit patterns: the kernel's 2^-26 and
+  // 19.5, expm1f's 0.5·ln2 and 1.5·ln2 (halved: tanh passes 2|x|), |x| = 1
+  // where tanhf switches formula, ~7.8 where k reaches 23, ~19.58 where it
+  // passes 56, 22 where tanhf returns ±1, the |x| < 2^-55 shortcut, the
+  // smallest subnormals and the largest finite float.
+  const std::uint32_t bounds[] = {0x32800000, 0x419c0000, 0x3e317218,
+                                  0x3f051592, 0x3f800000, 0x40f98872,
+                                  0x419ca6b9, 0x41b00000, 0x24000000,
+                                  0x00000001, 0x00800000, 0x7f7fffff};
+  for (const std::uint32_t b : bounds)
+    for (std::uint32_t d = 0; d < 5; ++d)
+      for (const std::uint32_t sign : {0u, 0x80000000u}) {
+        xs.push_back(bits_float((b + d - 2) | sign));
+        xs.push_back(0.5f);  // shifts the next bound to another lane
+      }
+  for (const std::uint32_t special :
+       {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+        0xffc00001u, 0x7f800001u, 0x007fffffu, 0x807fffffu})
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      while (xs.size() % 4 != lane) xs.push_back(0.75f);
+      xs.push_back(bits_float(special));
+    }
+  EXPECT_EQ(count_tanh_mismatches(xs), 0u);
+}
+
+TEST(TanhKernel, EveryTailLengthAndInPlace) {
+  Rng rng(19);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    Tensor x = Tensor::randn({n}, rng, 3.0f);
+    if (n > 5) x[5] = 1e-9f;  // one rare lane sends its chunk scalar
+    const Tensor expected = ops::reference::tanh_forward(x);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(float_bits(expected[i]), float_bits(std::tanh(x[i]))) << n;
+    Tensor y;
+    ops::tanh_forward_into(y, x);
+    expect_bit_identical(y, expected, "tanh tail");
+    ops::tanh_forward_into(x, x);
+    expect_bit_identical(x, expected, "tanh tail in place");
+  }
+}
+
+// All 2^32 inputs (about a minute in a Release build). Disabled in the tier-1
+// run; CI's FMA determinism job runs it with --gtest_also_run_disabled_tests.
+TEST(TanhKernel, DISABLED_ExhaustiveMatchesScalarPortAndLibm) {
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::vector<float> xs(kChunk);
+  std::size_t bad = 0;
+  for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32);
+       base += kChunk) {
+    for (std::uint64_t i = 0; i < kChunk; ++i)
+      xs[i] = bits_float(static_cast<std::uint32_t>(base + i));
+    bad += count_tanh_mismatches(xs);
+  }
+  EXPECT_EQ(bad, 0u);
 }
 
 // -- scratch pool ------------------------------------------------------------
