@@ -29,36 +29,21 @@ std::vector<std::uint8_t> SampleBatch::serialize() const {
       tensor_wire_size(advantages) + tensor_wire_size(value_targets) +
       wire::size_f64_vector(episode_returns.size());
   ByteWriter w(total);
-  std::vector<std::uint64_t> dims;  // scratch reused across tensor headers
   auto put_tensor = [&](const Tensor& t) {
-    dims.assign(t.shape().begin(), t.shape().end());
-    w.put_u64_span(dims);
+    w.put_u64_each(t.shape());
     w.put_f32_span(t.vec());
   };
   w.put_u8(action_kind == nn::ActionKind::kContinuous ? 0 : 1);
   put_tensor(obs);
   put_tensor(actions_cont);
-  {
-    dims.assign(actions_disc.begin(), actions_disc.end());
-    w.put_u64_span(dims);
-  }
+  w.put_u64_each(actions_disc);
   put_tensor(rewards);
   put_tensor(dones);
   put_tensor(behaviour_log_probs);
   put_tensor(values);
   w.put_f32(bootstrap_value);
-  {
-    std::vector<std::uint64_t> seg_starts;
-    std::vector<float> seg_boot;
-    seg_starts.reserve(segments.size());
-    seg_boot.reserve(segments.size());
-    for (const auto& s : segments) {
-      seg_starts.push_back(s.start);
-      seg_boot.push_back(s.bootstrap);
-    }
-    w.put_u64_span(seg_starts);
-    w.put_f32_span(seg_boot);
-  }
+  w.put_u64_each(segments, [](const Segment& s) { return s.start; });
+  w.put_f32_each(segments, [](const Segment& s) { return s.bootstrap; });
   w.put_u64(policy_version);
   put_tensor(advantages);
   put_tensor(value_targets);

@@ -4,15 +4,18 @@
 // version; under the concurrent driver several batches (possibly different
 // versions of the SAME tenant) run at once, so models cannot be shared. A
 // LeasePool (util/lease_pool.hpp) leases one scratch ActorCritic per body
-// execution; the body overwrites it (set_flat_params) before reading. One
-// pool per tenant, because the model geometry is the tenant's (obs_dim,
-// act_dim, hidden).
+// execution; the body loads the batch's snapshot into it (set_flat_params)
+// unless the context already holds that very snapshot. One pool per
+// tenant, because the model geometry is the tenant's (obs_dim, act_dim,
+// hidden).
 #pragma once
 
 #include <cstdint>
 
 #include "nn/actor_critic.hpp"
+#include "serve/policy_store.hpp"
 #include "serve/serve_config.hpp"
+#include "tensor/tensor.hpp"
 #include "util/lease_pool.hpp"
 
 namespace stellaris::serve {
@@ -30,7 +33,13 @@ struct ServeContext {
     return net;
   }
 
-  nn::ActorCritic model;  ///< scratch; set_flat_params before every forward
+  nn::ActorCritic model;  ///< scratch; holds `loaded`'s params
+  /// The snapshot last loaded into `model`. Snapshots are immutable and a
+  /// republish decodes a new one, so pointer equality means the params are
+  /// already in place; the strong reference keeps a later snapshot from
+  /// reusing this one's address.
+  PolicyRef loaded;
+  Tensor obs;  ///< the batch's (n, obs_dim) observations; storage reused
 };
 
 /// Leases one ServeContext per body execution, built from (tenant, seed).

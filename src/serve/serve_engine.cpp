@@ -227,12 +227,17 @@ void ServeEngine::dispatch_batch(std::size_t t, std::uint64_t version) {
     // -- body: pure function of the capture; runs wherever the driver says.
     b->job = engine_.driver().submit(
         [contexts, snap, flat = std::move(flat), n, obs_dim,
-         box = b->box]() mutable {
+         box = b->box] {
           auto ctx = contexts->lease();
-          ctx->model.set_flat_params(
-              std::span<const float>(snap->params.data(),
-                                     snap->params.size()));
-          Tensor obs({n, obs_dim}, std::move(flat));
+          if (ctx->loaded != snap) {
+            ctx->model.set_flat_params(
+                std::span<const float>(snap->params.data(),
+                                       snap->params.size()));
+            ctx->loaded = snap;
+          }
+          Tensor& obs = ctx->obs;
+          obs.ensure_shape({n, obs_dim});
+          std::copy(flat.begin(), flat.end(), obs.vec().begin());
           const Tensor& acts = ctx->model.policy_forward(obs);
           double checksum = 0.0;
           for (const float a : acts.vec()) checksum += static_cast<double>(a);
@@ -437,10 +442,9 @@ ServeResult ServeEngine::run() {
     tr.mean_batch = ts->batches > 0 ? static_cast<double>(ts->batched_requests) /
                                           static_cast<double>(ts->batches)
                                     : 0.0;
-    std::sort(ts->latencies.begin(), ts->latencies.end());
-    tr.p50_s = nearest_rank_sorted(ts->latencies, 0.50);
-    tr.p99_s = nearest_rank_sorted(ts->latencies, 0.99);
-    tr.p999_s = nearest_rank_sorted(ts->latencies, 0.999);
+    tr.p50_s = nearest_rank_select(ts->latencies, 0.50);
+    tr.p99_s = nearest_rank_select(ts->latencies, 0.99);
+    tr.p999_s = nearest_rank_select(ts->latencies, 0.999);
     tr.latency_sum_s = ts->latency_sum_s;
     tr.value_checksum = ts->value_checksum;
     tr.final_stable_version = ts->rollout.stable_version();

@@ -1,5 +1,8 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "sim/driver.hpp"
 #include "util/error.hpp"
 
@@ -13,7 +16,7 @@ void Engine::schedule_at(SimTime t, std::function<void()> fn) {
   STELLARIS_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t
                                                                 << " now="
                                                                 << now_);
-  queue_.push(Event{t, next_seq_++, std::move(fn), nullptr});
+  push(Event{t, next_seq_++, std::move(fn), nullptr});
 }
 
 void Engine::schedule_after(SimTime delay, std::function<void()> fn) {
@@ -27,7 +30,7 @@ Engine::CancelHandle Engine::schedule_cancellable_at(SimTime t,
                                                                 << " now="
                                                                 << now_);
   auto handle = std::make_shared<std::atomic<bool>>(false);
-  queue_.push(Event{t, next_seq_++, std::move(fn), handle});
+  push(Event{t, next_seq_++, std::move(fn), handle});
   return handle;
 }
 
@@ -37,12 +40,21 @@ Engine::CancelHandle Engine::schedule_cancellable_after(
   return schedule_cancellable_at(now_ + delay, std::move(fn));
 }
 
+void Engine::push(Event ev) {
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+Engine::Event Engine::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  return ev;
+}
+
 bool Engine::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-    // so copy the function handle (cheap: shared state inside std::function).
-    Event ev = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    Event ev = pop();
     // Cancelled events are dropped without touching the clock: a dead timer
     // must leave no trace in `now()` or `executed_events()`.
     if (ev.cancelled && *ev.cancelled) continue;
@@ -60,16 +72,16 @@ void Engine::run() {
 }
 
 void Engine::run_until(SimTime deadline) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
+  while (!heap_.empty()) {
+    const Event& top = heap_.front();
     if (top.cancelled && *top.cancelled) {
-      queue_.pop();
+      pop();
       continue;
     }
     if (top.t > deadline) break;
     step();
   }
-  if (now_ < deadline && queue_.empty()) now_ = deadline;
+  if (now_ < deadline && heap_.empty()) now_ = deadline;
 }
 
 }  // namespace stellaris::sim

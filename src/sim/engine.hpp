@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 namespace stellaris::sim {
@@ -58,7 +57,7 @@ class Engine {
   /// Run until the queue is empty or virtual time would exceed `deadline`.
   void run_until(SimTime deadline);
 
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
   /// Install the execution driver invocation bodies run on (non-owning;
@@ -76,6 +75,8 @@ class Engine {
     std::function<void()> fn;
     CancelHandle cancelled;  ///< null for ordinary (non-cancellable) events
   };
+  /// Min-heap order on (t, seq); the pair is unique, so the pop order is
+  /// fully determined.
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.t != b.t) return a.t > b.t;
@@ -83,11 +84,19 @@ class Engine {
     }
   };
 
+  void push(Event ev);
+  /// Moves the earliest event out of the heap (which must be non-empty).
+  Event pop();
+
   Driver* driver_ = nullptr;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// A binary heap under Later, kept by std::push_heap/std::pop_heap rather
+  /// than std::priority_queue so the earliest event can be moved out: a
+  /// copy of the std::function would clone any closure too large for its
+  /// small buffer (one allocation per event).
+  std::vector<Event> heap_;
 };
 
 }  // namespace stellaris::sim

@@ -6,9 +6,10 @@
 // ops::reference) so the rewrite is bit-transparent to the learner.
 //
 // tanh is the exception: libm's tanhf is a scalar call per element, so
-// tanh_forward_into runs a four-lane port of the same algorithm (glibc
-// 2.36's fdlibm-derived tanhf/expm1f) that returns the same bits for every
-// input; tanh_scalar is the scalar port and the kernel's fallback.
+// tanh_forward_into runs a vector port of the same algorithm (glibc 2.36's
+// fdlibm-derived tanhf/expm1f) that returns the same bits for every input,
+// eight lanes wide on CPUs with AVX2 and four wide elsewhere; tanh_scalar
+// is the scalar port and the kernels' fallback.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -99,7 +100,7 @@ constexpr float kQ5 = f32(0xb457edbb);
 constexpr std::int32_t kHalfLn2 = 0x3eb17218;         // k = 0 at or below
 constexpr std::int32_t kThreeHalvesLn2 = 0x3f851592;  // k = -1 below
 
-// |x| bounds of the four-lane kernel, as bit patterns of |x|. Below 2^-26,
+// |x| bounds of the vector kernel, as bit patterns of |x|. Below 2^-26,
 // expm1f(2x) takes its |u| < 2^-25 shortcut (and ±0 is returned as is);
 // from 19.5 up k can pass 56, glibc's last polynomial branch, and from 22
 // tanhf returns ±1. Chunks holding such a lane, inf or NaN go scalar.
@@ -146,62 +147,97 @@ float expm1f_port(float u) {
 
 using V4 = float __attribute__((vector_size(16)));
 using V4i = std::int32_t __attribute__((vector_size(16)));
+using V8 = float __attribute__((vector_size(32)));
+using V8i = std::int32_t __attribute__((vector_size(32)));
 
-V4 as_float(V4i v) {
-  V4 f;
-  std::memcpy(&f, &v, sizeof f);
-  return f;
-}
-
-V4i as_int(V4 v) {
-  V4i i;
-  std::memcpy(&i, &v, sizeof i);
-  return i;
-}
-
-// tanh_scalar on four lanes with kVecMin <= |x| < kVecMax. Each lane
-// evaluates every branch glibc could take for it and keeps the one its k
-// selects; on these lanes k is 0, -1, -2 or -3 for |x| < 1 and 3..56
-// above. 2^-k comes from exponent bits, so 1 - 2^-k (exact for k < 24)
-// needs no per-lane variable shift.
-V4 tanh4(V4 x) {
-  const V4i bits = as_int(x);
-  const V4i abits = bits & 0x7fffffff;
-  const V4 ax = as_float(abits);
-  const V4i big = abits >= 0x3f800000;
-  const V4 u = big ? ax + ax : -(ax + ax);
-  const V4i hu = abits + (1 << 23);  // bits of |u| = 2|x|
-  const V4 half = big ? V4{} + 0.5f : V4{} - 0.5f;
-  V4i k = __builtin_convertvector(kInvLn2 * u + half, V4i);
-  k = hu < kThreeHalvesLn2 ? V4i{} - 1 : k;
-  k = hu <= kHalfLn2 ? V4i{} : k;
-  const V4 t = __builtin_convertvector(k, V4);
-  const V4 hi = u - t * kLn2Hi;
-  const V4 lo = t * kLn2Lo;
-  const V4 r = hi - lo;  // == u where k == 0
-  const V4 c = (hi - r) - lo;
-  const V4 hfx = 0.5f * r;
-  const V4 hxs = r * hfx;
-  const V4 r1 =
+// tanh_scalar on one chunk of lanes (VF holds floats, VI int32s of the same
+// width) with kVecMin <= |x| < kVecMax. Each lane evaluates every branch
+// glibc could take for it and keeps the one its k selects; on these lanes
+// k is 0, -1, -2 or -3 for |x| < 1 and 3..56 above. 2^-k comes from
+// exponent bits, so 1 - 2^-k (exact for k < 24) needs no per-lane variable
+// shift. Vectors go in and out through memory and every helper is a
+// builtin, so a 32-byte instance passes no vector by value outside the
+// AVX2 function it is inlined into (GCC's -Wpsabi ABI warning).
+template <typename VF, typename VI>
+[[gnu::always_inline]] inline void tanh_lanes(const float* px, float* py) {
+  VF x;
+  std::memcpy(&x, px, sizeof x);
+  const VI bits = __builtin_bit_cast(VI, x);
+  const VI abits = bits & 0x7fffffff;
+  const VF ax = __builtin_bit_cast(VF, abits);
+  const VI big = abits >= 0x3f800000;
+  const VF u = big ? ax + ax : -(ax + ax);
+  const VI hu = abits + (1 << 23);  // bits of |u| = 2|x|
+  const VF half = big ? VF{} + 0.5f : VF{} - 0.5f;
+  VI k = __builtin_convertvector(kInvLn2 * u + half, VI);
+  k = hu < kThreeHalvesLn2 ? VI{} - 1 : k;
+  k = hu <= kHalfLn2 ? VI{} : k;
+  const VF t = __builtin_convertvector(k, VF);
+  const VF hi = u - t * kLn2Hi;
+  const VF lo = t * kLn2Lo;
+  const VF r = hi - lo;  // == u where k == 0
+  const VF c = (hi - r) - lo;
+  const VF hfx = 0.5f * r;
+  const VF hxs = r * hfx;
+  const VF r1 =
       1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
-  const V4 t3 = 3.0f - r1 * hfx;
-  const V4 e = hxs * ((r1 - t3) / (6.0f - r * t3));
-  const V4 e2 = (r * (e - c) - c) - hxs;
-  const V4i kexp = k << 23;
-  const V4 two_mk = as_float((0x7f << 23) - kexp);
-  const V4 k_zero = r - (r * e - hxs);
-  const V4 k_minus_one = 0.5f * (r - e2) - 0.5f;
-  const V4 k_negative = as_float(as_int(1.0f - (e2 - r)) + kexp) - 1.0f;
-  const V4 k_below_23 = as_float(as_int((1.0f - two_mk) - (e2 - r)) + kexp);
-  const V4 k_from_23 = as_float(as_int((r - (e2 + two_mk)) + 1.0f) + kexp);
-  V4 em1 = k < 23 ? k_below_23 : k_from_23;
+  const VF t3 = 3.0f - r1 * hfx;
+  const VF e = hxs * ((r1 - t3) / (6.0f - r * t3));
+  const VF e2 = (r * (e - c) - c) - hxs;
+  const VI kexp = k << 23;
+  const VF two_mk = __builtin_bit_cast(VF, (0x7f << 23) - kexp);
+  const VF k_zero = r - (r * e - hxs);
+  const VF k_minus_one = 0.5f * (r - e2) - 0.5f;
+  const VF k_negative =
+      __builtin_bit_cast(VF, __builtin_bit_cast(VI, 1.0f - (e2 - r)) + kexp) -
+      1.0f;
+  const VF k_below_23 = __builtin_bit_cast(
+      VF, __builtin_bit_cast(VI, (1.0f - two_mk) - (e2 - r)) + kexp);
+  const VF k_from_23 = __builtin_bit_cast(
+      VF, __builtin_bit_cast(VI, (r - (e2 + two_mk)) + 1.0f) + kexp);
+  VF em1 = k < 23 ? k_below_23 : k_from_23;
   em1 = k < 0 ? k_negative : em1;
   em1 = k == -1 ? k_minus_one : em1;
   em1 = k == 0 ? k_zero : em1;
   // 2/(t + 2) and -t/(t + 2) are one division with a per-lane numerator.
-  const V4 q = (big ? V4{} + 2.0f : -em1) / (em1 + 2.0f);
-  const V4 z = big ? 1.0f - q : q;
-  return as_float(as_int(z) ^ (bits & ~0x7fffffff));
+  const VF q = (big ? VF{} + 2.0f : -em1) / (em1 + 2.0f);
+  const VF z = big ? 1.0f - q : q;
+  const VF out = __builtin_bit_cast(
+      VF, __builtin_bit_cast(VI, z) ^ (bits & ~0x7fffffff));
+  std::memcpy(py, &out, sizeof out);
+}
+
+// Runs chunks of VF's width from element i while a whole chunk fits and
+// returns where it stopped. A chunk holding a lane outside the kernel's
+// range goes to tanh_scalar whole.
+template <typename VF, typename VI>
+[[gnu::always_inline]] inline std::size_t tanh_chunks(const float* px,
+                                                      float* py, std::size_t i,
+                                                      std::size_t n) {
+  constexpr std::size_t kLanes = sizeof(VF) / sizeof(float);
+  for (; i + kLanes <= n; i += kLanes) {
+    VI a;
+    std::memcpy(&a, px + i, sizeof a);
+    a &= 0x7fffffff;
+    const VI rare = (a < kVecMin) | (a >= kVecMax);
+    std::int32_t any = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) any |= rare[l];
+    if (any != 0) {
+      for (std::size_t j = i; j < i + kLanes; ++j) py[j] = tanh_scalar(px[j]);
+      continue;
+    }
+    tanh_lanes<VF, VI>(px + i, py + i);
+  }
+  return i;
+}
+
+using TanhLoop = void (*)(const float*, float*, std::size_t);
+
+// Chosen on the first tanh call, once per process.
+TanhLoop tanh_loop() {
+  static const TanhLoop loop =
+      detail::cpu_has_avx2() ? detail::tanh_lanes8 : detail::tanh_lanes4;
+  return loop;
 }
 
 }  // namespace
@@ -223,26 +259,36 @@ float tanh_scalar(float x) {
   return negative ? -z : z;
 }
 
+namespace detail {
+
+bool cpu_has_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+void tanh_lanes4(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = tanh_chunks<V4, V4i>(x, y, 0, n); i < n; ++i)
+    y[i] = tanh_scalar(x[i]);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]]
+#endif
+void tanh_lanes8(const float* x, float* y, std::size_t n) {
+  std::size_t i = tanh_chunks<V8, V8i>(x, y, 0, n);
+  i = tanh_chunks<V4, V4i>(x, y, i, n);  // at most one four-lane chunk
+  for (; i < n; ++i) y[i] = tanh_scalar(x[i]);
+}
+
+}  // namespace detail
+
 void tanh_forward_into(Tensor& y, const Tensor& x) {
   count_eltwise(x.numel());
   y.ensure_shape(x.shape());
-  const float* px = x.data().data();
-  float* py = y.data().data();
-  const std::size_t n = x.numel();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    V4 v;
-    std::memcpy(&v, px + i, sizeof v);
-    const V4i a = as_int(v) & 0x7fffffff;
-    const V4i rare = (a < kVecMin) | (a >= kVecMax);
-    if ((rare[0] | rare[1] | rare[2] | rare[3]) != 0) {
-      for (std::size_t j = i; j < i + 4; ++j) py[j] = tanh_scalar(px[j]);
-      continue;
-    }
-    const V4 out = tanh4(v);
-    std::memcpy(py + i, &out, sizeof out);
-  }
-  for (; i < n; ++i) py[i] = tanh_scalar(px[i]);
+  tanh_loop()(x.data().data(), y.data().data(), x.numel());
 }
 
 Tensor tanh_forward(const Tensor& x) {

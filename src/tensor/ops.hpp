@@ -60,7 +60,9 @@ void sum_rows_into(Tensor& out, const Tensor& x);
 /// glibc 2.36's tanhf, ported: the same bits as std::tanh on that libm for
 /// every float, so results do not depend on the host's libm.
 float tanh_scalar(float x);
-/// Elementwise tanh_scalar, four lanes at a time.
+/// Elementwise tanh_scalar, eight lanes at a time on CPUs with AVX2 and
+/// four elsewhere (the kernel is chosen once per process); the bits are
+/// the same either way.
 Tensor tanh_forward(const Tensor& x);
 void tanh_forward_into(Tensor& y, const Tensor& x);
 /// dx = dy * (1 - y²) where y = tanh(x) from the forward pass.
@@ -106,6 +108,14 @@ void im2col_into(Tensor& cols, const Tensor& input, const Conv2dSpec& spec);
 Tensor col2im(const Tensor& cols, const Conv2dSpec& spec, std::size_t batch);
 void col2im_into(Tensor& out, const Tensor& cols, const Conv2dSpec& spec,
                  std::size_t batch);
+
+// The two tanh_forward_into loops, exposed so tests can check each one on
+// any host. y may equal x. tanh_lanes8 may only run where cpu_has_avx2().
+namespace detail {
+bool cpu_has_avx2();
+void tanh_lanes4(const float* x, float* y, std::size_t n);
+void tanh_lanes8(const float* x, float* y, std::size_t n);
+}  // namespace detail
 
 // -- reference kernels --------------------------------------------------------
 // The seed's naive loops, kept as the semantic oracle for the bit-exactness

@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -114,6 +116,17 @@ class ByteWriter {
   /// Raw blob, one memcpy. Wire-compatible with (and replaces) the old
   /// "put_u64(n) then n × put_u8" pattern.
   void put_bytes(ByteSpan blob);
+  // Element-wise variants: `proj` maps each element of `range` to its wire
+  // value. The same bytes as the span variants on the projected values,
+  // without staging them in a vector first.
+  template <typename Range, typename Proj = std::identity>
+  void put_u64_each(const Range& range, Proj proj = {}) {
+    put_each<std::uint64_t>(wire::kU64Vec, range, proj);
+  }
+  template <typename Range, typename Proj = std::identity>
+  void put_f32_each(const Range& range, Proj proj = {}) {
+    put_each<float>(wire::kF32Vec, range, proj);
+  }
 
  private:
   void append_raw(const void* p, std::size_t n) {
@@ -124,6 +137,15 @@ class ByteWriter {
   void put_tagged(std::uint8_t tag, T v) {
     buf_.push_back(tag);
     append_raw(&v, sizeof(T));
+  }
+
+  template <typename T, typename Range, typename Proj>
+  void put_each(std::uint8_t tag, const Range& range, Proj& proj) {
+    put_tagged(tag, static_cast<std::uint64_t>(std::size(range)));
+    for (const auto& e : range) {
+      const T v = proj(e);
+      append_raw(&v, sizeof(T));
+    }
   }
 
   std::vector<std::uint8_t> buf_;

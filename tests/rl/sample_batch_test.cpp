@@ -210,6 +210,65 @@ TEST(SampleBatch, SerializeIsSingleAllocationSized) {
   EXPECT_EQ(bytes.capacity(), bytes.size());
 }
 
+// The encoder as it was before it wrote length prefixes and elements
+// straight into the writer: every u64 field staged in a vector, the segment
+// table in two. serialize() must keep producing exactly these bytes.
+std::vector<std::uint8_t> staged_encode(const SampleBatch& b) {
+  ByteWriter w;
+  auto put_tensor = [&](const Tensor& t) {
+    const std::vector<std::uint64_t> dims(t.shape().begin(), t.shape().end());
+    w.put_u64_span(dims);
+    w.put_f32_span(t.vec());
+  };
+  w.put_u8(b.action_kind == nn::ActionKind::kContinuous ? 0 : 1);
+  put_tensor(b.obs);
+  put_tensor(b.actions_cont);
+  w.put_u64_vector(std::vector<std::uint64_t>(b.actions_disc.begin(),
+                                              b.actions_disc.end()));
+  put_tensor(b.rewards);
+  put_tensor(b.dones);
+  put_tensor(b.behaviour_log_probs);
+  put_tensor(b.values);
+  w.put_f32(b.bootstrap_value);
+  std::vector<std::uint64_t> seg_starts;
+  std::vector<float> seg_boot;
+  for (const auto& seg : b.segments) {
+    seg_starts.push_back(seg.start);
+    seg_boot.push_back(seg.bootstrap);
+  }
+  w.put_u64_span(seg_starts);
+  w.put_f32_span(seg_boot);
+  w.put_u64(b.policy_version);
+  put_tensor(b.advantages);
+  put_tensor(b.value_targets);
+  w.put_f64_vector(b.episode_returns);
+  return w.take();
+}
+
+TEST(SampleBatch, SerializeBytesEqualStagedEncoder) {
+  // Segmented, continuous, with GAE outputs filled in.
+  SampleBatch a = make_batch(6, 7, 2.0f);
+  a.segments = {{0, 1.5f}, {2, -2.5f}, {5, 3.25f}};
+  a.advantages = Tensor::full({6}, 0.75f);
+  a.value_targets = Tensor::full({6}, -1.25f);
+  a.episode_returns = {4.0, -5.5};
+  const auto a_bytes = a.serialize();
+  EXPECT_EQ(a_bytes, staged_encode(a));
+  EXPECT_EQ(a_bytes.capacity(), a_bytes.size());
+  // Discrete, no segments.
+  SampleBatch d;
+  d.action_kind = nn::ActionKind::kDiscrete;
+  d.policy_version = 3;
+  d.obs = Tensor::full({3, 4}, 0.5f);
+  d.actions_disc = {2, 0, 5};
+  d.rewards = Tensor::full({3}, 1.0f);
+  d.dones = Tensor({3});
+  d.behaviour_log_probs = Tensor::full({3}, -0.7f);
+  d.values = Tensor::full({3}, 0.1f);
+  d.bootstrap_value = 9.0f;
+  EXPECT_EQ(d.serialize(), staged_encode(d));
+}
+
 // -- hostile payloads ----------------------------------------------------------
 // Cache payloads are untrusted bytes: each malformed batch below is spliced
 // out of a valid serialize() and must throw Error, never read out of bounds

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
+#include "tensor/tensor.hpp"
+
 namespace stellaris::serve {
 namespace {
 
@@ -74,6 +80,62 @@ TEST(ServeEngine, SnapshotDecodedOncePerVersion) {
   // One published version -> one decode; every other batch reuses it.
   EXPECT_EQ(res.policy_decodes, 1u);
   EXPECT_EQ(res.policy_reuses, res.tenants[0].batches - 1);
+}
+
+TEST(ServeEngine, BatchesStopAllocatingTensorsOnceWarm) {
+  // Full four-row batches from the start: every batch has the shape the
+  // leased context's observation tensor and layer outputs were sized for,
+  // so a run three times as long allocates no more tensor buffers.
+  auto allocs_for = [](double duration_s) {
+    auto cfg = base_config();
+    cfg.tenants[0].batch.max_batch = 4;
+    cfg.tenants[0].traffic.rate_per_s = 1500.0;
+    cfg.tenants[0].traffic.duration_s = duration_s;
+    const std::uint64_t before = tensor_buffer_allocs();
+    const auto res = run_scenario(cfg);
+    EXPECT_EQ(res.completed, res.issued);
+    return std::make_pair(tensor_buffer_allocs() - before,
+                          res.tenants[0].batches);
+  };
+  const auto [short_allocs, short_batches] = allocs_for(1.0);
+  const auto [long_allocs, long_batches] = allocs_for(3.0);
+  EXPECT_GT(long_batches, 2 * short_batches);
+  EXPECT_EQ(long_allocs, short_allocs);
+}
+
+TEST(ServeEngine, RepublishedVersionServesItsNewParams) {
+  // A version republished mid-run with new params must be served with
+  // them, although leased contexts already hold that version number. The
+  // all-zero policy predicts exactly 0, so a run that switches Z -> Q at
+  // 2.5 s sums Q's values after the switch, one that switches Q -> Z sums
+  // Q's values before it, and together they make up a fresh engine's
+  // Q-only checksum.
+  for (const sim::DriverKind driver :
+       {sim::DriverKind::kVirtual, sim::DriverKind::kConcurrent}) {
+    auto cfg = base_config();
+    cfg.driver = driver;
+    cfg.driver_threads = 4;
+    const std::vector<float> q = make_policy_params(cfg.tenants[0], 5);
+    const std::vector<float> z(q.size(), 0.0f);
+    auto run_switching = [&](const std::vector<float>& first,
+                             const std::vector<float>& then) {
+      ServeEngine eng(cfg);
+      eng.publish_policy(0, first, 1);
+      eng.engine().schedule_at(2.5, [&] { eng.publish_policy(0, then, 1); });
+      return eng.run();
+    };
+    const ServeResult fresh = run_switching(q, q);
+    const ServeResult z_then_q = run_switching(z, q);
+    const ServeResult q_then_z = run_switching(q, z);
+    ASSERT_EQ(z_then_q.completed, fresh.completed);
+    ASSERT_EQ(q_then_z.completed, fresh.completed);
+    const double full = fresh.tenants[0].value_checksum;
+    const double after = z_then_q.tenants[0].value_checksum;
+    const double before = q_then_z.tenants[0].value_checksum;
+    EXPECT_NE(after, 0.0);
+    EXPECT_NE(before, full);
+    EXPECT_NEAR(before + after, full, 1e-9 * std::fabs(full));
+  }
 }
 
 TEST(ServeEngine, CrossDriverBitIdentity) {

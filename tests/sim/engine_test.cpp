@@ -140,5 +140,40 @@ TEST(Engine, DeterministicInterleaving) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// A callable that counts its copies. Its padding makes it too large for
+// std::function's small buffer, like the serving tier's closures, so a copy
+// of the std::function would clone it.
+struct CopyCounter {
+  CopyCounter(int* copies_, int* calls_) : copies(copies_), calls(calls_) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), calls(o.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) = default;
+  void operator()() const { ++*calls; }
+
+  int* copies;
+  int* calls;
+  char pad[32] = {};
+};
+
+TEST(Engine, StepMovesEventsOutWithoutCopying) {
+  Engine engine;
+  int copies = 0;
+  int calls = 0;
+  for (int i = 0; i < 32; ++i)
+    engine.schedule_at(static_cast<double>((i * 7) % 11),
+                       CopyCounter(&copies, &calls));
+  const int scheduling_copies = copies;
+  engine.run_until(5.0);
+  const int early = calls;
+  EXPECT_GT(early, 0);
+  EXPECT_LT(early, 32);
+  while (engine.step()) {
+  }
+  EXPECT_EQ(calls, 32);
+  EXPECT_EQ(copies, scheduling_copies);
+  EXPECT_EQ(scheduling_copies, 0);
+}
+
 }  // namespace
 }  // namespace stellaris::sim

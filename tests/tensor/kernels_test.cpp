@@ -12,6 +12,7 @@
 // or how many threads call in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -309,35 +310,67 @@ TEST(ElementwiseInto, TanhFromConcurrentCallersBitIdentical) {
 }
 
 // -- tanh ----------------------------------------------------------------------
-// tanh_forward_into runs a four-lane port of glibc's tanhf and falls back to
-// the scalar port (ops::tanh_scalar) for tails and for chunks holding a
-// lane outside 2^-26 <= |x| < 19.5. Both must give std::tanh's bits.
+// tanh_forward_into runs a vector port of glibc's tanhf: eight lanes on CPUs
+// with AVX2 (ops::detail::tanh_lanes8), four elsewhere (tanh_lanes4). Both
+// fall back to the scalar port (ops::tanh_scalar) for tails and for chunks
+// holding a lane outside 2^-26 <= |x| < 19.5. All must give std::tanh's
+// bits.
 
 std::uint32_t float_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
 
 float bits_float(std::uint32_t u) { return std::bit_cast<float>(u); }
 
-// Runs the kernel over `xs` and compares every output with the scalar port
-// and with libm. Returns the number of mismatches; reports the first few.
-std::size_t count_tanh_mismatches(const std::vector<float>& xs) {
-  const Tensor x({xs.size()}, xs);
-  Tensor y;
-  ops::tanh_forward_into(y, x);
+using TanhLoop = void (*)(const float*, float*, std::size_t);
+
+// The public entry point, as a TanhLoop.
+void tanh_dispatched(const float* x, float* y, std::size_t n) {
+  const Tensor in({n}, std::vector<float>(x, x + n));
+  Tensor out;
+  ops::tanh_forward_into(out, in);
+  std::copy(out.vec().begin(), out.vec().end(), y);
+}
+
+// The eight-lane kernel needs AVX2. A build that targets AVX2 must run its
+// tests, so there a CPU without it fails them instead of skipping them.
+#ifdef __AVX2__
+#define SKIP_WITHOUT_AVX2() ASSERT_TRUE(ops::detail::cpu_has_avx2())
+#else
+#define SKIP_WITHOUT_AVX2()                   \
+  if (!ops::detail::cpu_has_avx2())           \
+  GTEST_SKIP() << "this CPU has no AVX2"
+#endif
+
+// Runs each of `loops` over `xs` and compares every output with the scalar
+// port and with libm. Returns the number of mismatches; reports the first
+// few.
+std::size_t count_tanh_mismatches(
+    const std::vector<float>& xs,
+    const std::vector<TanhLoop>& loops = {tanh_dispatched}) {
+  std::vector<std::vector<float>> ys;
+  for (const TanhLoop loop : loops) {
+    ys.emplace_back(xs.size());
+    loop(xs.data(), ys.back().data(), xs.size());
+  }
   std::size_t bad = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const std::uint32_t got = float_bits(y[i]);
     const std::uint32_t port = float_bits(ops::tanh_scalar(xs[i]));
     const std::uint32_t libm = float_bits(std::tanh(xs[i]));
-    if (got == port && port == libm) continue;
-    if (++bad <= 8)
-      ADD_FAILURE() << std::hexfloat << "x = " << xs[i] << " (0x" << std::hex
-                    << float_bits(xs[i]) << "): kernel 0x" << got
-                    << ", scalar port 0x" << port << ", std::tanh 0x" << libm;
+    for (std::size_t k = 0; k < ys.size(); ++k) {
+      const std::uint32_t got = float_bits(ys[k][i]);
+      if (got == port && port == libm) continue;
+      if (++bad <= 8)
+        ADD_FAILURE() << std::hexfloat << "x = " << xs[i] << " (0x"
+                      << std::hex << float_bits(xs[i]) << "): loop " << k
+                      << " 0x" << got << ", scalar port 0x" << port
+                      << ", std::tanh 0x" << libm;
+    }
   }
   return bad;
 }
 
-TEST(TanhKernel, SweepMatchesScalarPortAndLibm) {
+// Every 4099th bit pattern, both sides of every bound, and the special
+// values in each of eight lane positions.
+std::vector<float> tanh_sweep_inputs() {
   std::vector<float> xs;
   for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4099)
     xs.push_back(bits_float(static_cast<std::uint32_t>(b)));
@@ -359,32 +392,81 @@ TEST(TanhKernel, SweepMatchesScalarPortAndLibm) {
   for (const std::uint32_t special :
        {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
         0xffc00001u, 0x7f800001u, 0x007fffffu, 0x807fffffu})
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      while (xs.size() % 4 != lane) xs.push_back(0.75f);
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      while (xs.size() % 8 != lane) xs.push_back(0.75f);
       xs.push_back(bits_float(special));
     }
-  EXPECT_EQ(count_tanh_mismatches(xs), 0u);
+  return xs;
 }
 
-TEST(TanhKernel, EveryTailLengthAndInPlace) {
+TEST(TanhKernel, SweepMatchesScalarPortAndLibm) {
+  EXPECT_EQ(count_tanh_mismatches(tanh_sweep_inputs()), 0u);
+}
+
+TEST(TanhKernel, FourLaneSweepMatchesScalarPortAndLibm) {
+  EXPECT_EQ(
+      count_tanh_mismatches(tanh_sweep_inputs(), {ops::detail::tanh_lanes4}),
+      0u);
+}
+
+TEST(TanhKernel, EightLaneSweepMatchesScalarPortAndLibm) {
+  SKIP_WITHOUT_AVX2();
+  EXPECT_EQ(
+      count_tanh_mismatches(tanh_sweep_inputs(), {ops::detail::tanh_lanes8}),
+      0u);
+}
+
+// A loop as a tanh_forward_into-shaped function.
+template <TanhLoop loop>
+void tanh_into_with(Tensor& y, const Tensor& x) {
+  y.ensure_shape(x.shape());
+  loop(x.data().data(), y.data().data(), x.numel());
+}
+
+// n = 0..19 covers, for the eight-lane loop, zero to two eight-lane chunks,
+// with and without the one four-lane chunk, and every scalar tail length.
+void expect_every_tail_length_and_in_place(void (*tanh_into)(Tensor&,
+                                                             const Tensor&)) {
   Rng rng(19);
-  for (std::size_t n = 0; n <= 9; ++n) {
+  for (std::size_t n = 0; n <= 19; ++n) {
     Tensor x = Tensor::randn({n}, rng, 3.0f);
     if (n > 5) x[5] = 1e-9f;  // one rare lane sends its chunk scalar
     const Tensor expected = ops::reference::tanh_forward(x);
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(float_bits(expected[i]), float_bits(std::tanh(x[i]))) << n;
     Tensor y;
-    ops::tanh_forward_into(y, x);
+    tanh_into(y, x);
     expect_bit_identical(y, expected, "tanh tail");
-    ops::tanh_forward_into(x, x);
+    tanh_into(x, x);
     expect_bit_identical(x, expected, "tanh tail in place");
   }
 }
 
-// All 2^32 inputs (about a minute in a Release build). Disabled in the tier-1
-// run; CI's FMA determinism job runs it with --gtest_also_run_disabled_tests.
+TEST(TanhKernel, EveryTailLengthAndInPlace) {
+  expect_every_tail_length_and_in_place(ops::tanh_forward_into);
+}
+
+TEST(TanhKernel, FourLaneEveryTailLengthAndInPlace) {
+  expect_every_tail_length_and_in_place(
+      tanh_into_with<ops::detail::tanh_lanes4>);
+}
+
+TEST(TanhKernel, EightLaneEveryTailLengthAndInPlace) {
+  SKIP_WITHOUT_AVX2();
+  expect_every_tail_length_and_in_place(
+      tanh_into_with<ops::detail::tanh_lanes8>);
+}
+
+// All 2^32 inputs through both kernels (under a minute in a Release
+// build). Disabled in the tier-1 run; CI's FMA determinism job, whose
+// x86-64-v3 target has AVX2, runs it with --gtest_also_run_disabled_tests.
+// Without AVX2 only the four-lane kernel is checked.
 TEST(TanhKernel, DISABLED_ExhaustiveMatchesScalarPortAndLibm) {
+  std::vector<TanhLoop> loops = {ops::detail::tanh_lanes4};
+  if (ops::detail::cpu_has_avx2()) loops.push_back(ops::detail::tanh_lanes8);
+#ifdef __AVX2__
+  ASSERT_EQ(loops.size(), 2u) << "built for AVX2 on a CPU without it";
+#endif
   constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
   std::vector<float> xs(kChunk);
   std::size_t bad = 0;
@@ -392,7 +474,7 @@ TEST(TanhKernel, DISABLED_ExhaustiveMatchesScalarPortAndLibm) {
        base += kChunk) {
     for (std::uint64_t i = 0; i < kChunk; ++i)
       xs[i] = bits_float(static_cast<std::uint32_t>(base + i));
-    bad += count_tanh_mismatches(xs);
+    bad += count_tanh_mismatches(xs, loops);
   }
   EXPECT_EQ(bad, 0u);
 }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace stellaris {
 namespace {
@@ -64,6 +67,29 @@ TEST(NearestRank, SmallSampleP99IsMax) {
 TEST(NearestRank, UnsortedConvenienceOverloadSorts) {
   EXPECT_EQ(nearest_rank({3.0, 1.0, 2.0}, 0.50), 2.0);
   EXPECT_EQ(nearest_rank({3.0, 1.0, 2.0}, 1.0), 3.0);
+}
+
+TEST(NearestRank, SelectionEqualsSortedForEverySizeAndQuantile) {
+  Rng rng(23);
+  for (const std::size_t n : {1u, 2u, 3u, 1000u}) {
+    std::vector<double> xs;
+    // Draws from 50 values, so the larger samples hold many duplicates.
+    for (std::size_t i = 0; i < n; ++i)
+      xs.push_back(static_cast<double>(rng.uniform_int(50)) * 0.25);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 1e-9, 0.5, 0.99, 0.999, 1.0}) {
+      std::vector<double> scratch = xs;
+      EXPECT_EQ(nearest_rank_select(scratch, q), nearest_rank_sorted(sorted, q))
+          << "n=" << n << " q=" << q;
+    }
+    // Successive selections on one reordered vector, as ServeEngine::run
+    // takes p50, p99 and p999.
+    for (const double q : {0.5, 0.99, 0.999})
+      EXPECT_EQ(nearest_rank_select(xs, q), nearest_rank_sorted(sorted, q));
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(nearest_rank_select(empty, 0.5), 0.0);
 }
 
 }  // namespace
